@@ -43,9 +43,9 @@ void BM_Decode(benchmark::State& state) {
 BENCHMARK(BM_Decode);
 
 /// Host ISS hot loop at an explicit execution tier. The tier is pinned
-/// per row (not left at the process default) so the interp row stays a
-/// stable baseline and the Threaded row measures exactly the
-/// threaded-code dispatch win (DESIGN.md §15).
+/// per row (not left at the process default): the interp row measures
+/// the hooked reference loop, the Threaded row the fast loop over the
+/// same handlers (DESIGN.md §15).
 void host_iss_loop(benchmark::State& state, isa::ExecTier tier) {
   core::SocConfig cfg;
   cfg.main_memory = core::MainMemoryKind::kDdr4;

@@ -74,13 +74,16 @@ if [ "$fast" -eq 0 ]; then
     --output-on-failure --no-tests=error
 fi
 
-step "execution-tier differential (fig6/fig8 interp vs threaded)"
-# The threaded tier's bit-identical-timing contract (DESIGN.md §15):
-# figure-bench stdout must be byte-equal between --tier=interp and
-# --tier=threaded. Any divergence is a handler whose cycle accounting
-# drifted from the interpreter.
+step "execution-tier differential (all figure/table benches, interp vs threaded)"
+# Both tiers run the same handlers (DESIGN.md §15); the threaded tier
+# trusts the lowered fetch-line flags and folded static costs where the
+# interp reference tier compares the fetch line per instruction. Every
+# figure/table bench's stdout must be byte-equal between --tier=interp
+# and --tier=threaded; a divergence is a lowering (line flag, folded
+# latency, block-tail handling) that drifted from the reference.
 tier_dir="$(mktemp -d /tmp/ci_tier.XXXXXX)"
-for bench in fig6_speedup fig8_llc_effect; do
+for bench in table1_comparison table2_power fig6_speedup fig7_llc_sweep \
+             fig8_llc_effect fig9_energy_eff ablation_memsys; do
   "$repo_root/build/bench/$bench" --tier=interp \
     > "$tier_dir/$bench.interp" 2>/dev/null
   "$repo_root/build/bench/$bench" --tier=threaded \

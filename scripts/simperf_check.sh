@@ -10,9 +10,10 @@
 #   SIMPERF_PROFILE_OFF_THRESHOLD_PCT   tighter gate for the profile-off
 #       ISS rows (BM_HostIssLoop/BM_ClusterIssLoop). Defaults to
 #       SIMPERF_THRESHOLD_PCT; set to 2 on quiet reference hardware to
-#       pin the profiler's disabled-mode overhead (the dispatch loops
-#       compile the bracket code out entirely when not collecting, so
-#       any delta there is a real hot-path regression).
+#       pin the profiler's disabled-mode overhead (these rows run the
+#       hooked reference loop with the profiler detached, so its
+#       brackets cost one null check per instruction; any further delta
+#       is a real hot-path regression).
 #   SIMPERF_TELEMETRY_OFF_THRESHOLD_PCT   same idea for the telemetry
 #       spans: the plain ISS rows also run with telemetry disabled, so
 #       this tightens their gate to whatever is smaller. Telemetry
@@ -150,8 +151,8 @@ if SERVE_OBS_OFF_ROW in fresh and obs_row in fresh and \
 
 # Threaded-tier speedup (informational — the regression loop above
 # already gates both tiers' absolute throughput): how much faster the
-# threaded-code tier retires instructions than the interpreter on the
-# same workload (DESIGN.md §15; the *IssLoop rows pin kInterp, the
+# fast loop retires instructions than the hooked reference loop over
+# the same handlers (DESIGN.md §15; the *IssLoop rows pin kInterp, the
 # *IssLoopThreaded rows pin kThreaded).
 for name in PROFILE_OFF_ROWS:
     variant = name + "Threaded"

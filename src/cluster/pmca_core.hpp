@@ -56,8 +56,8 @@ struct PmcaCoreConfig {
 
 class PmcaCore {
  public:
-  /// Threaded-tier handler table (pmca_core.cpp); needs the same
-  /// private access as exec().
+  /// Per-op handler table (pmca_core.cpp): the core's instruction
+  /// semantics.
   friend struct ThreadedPmca;
 
   enum class State { kRunning, kBlocked, kFinished };
@@ -131,9 +131,11 @@ class PmcaCore {
   void set_trace(bool enabled) { trace_ = enabled; }
 
   /// Execution tier (DESIGN.md §15). Defaults to the process-wide
-  /// isa::default_tier(); the threaded tier self-deoptimizes to the
-  /// interpreter while the profiler or tracing is active, and observes
-  /// the run-ahead horizon exactly like the interpreter loop.
+  /// isa::default_tier(). Both tiers run the same handlers and observe
+  /// the same run-ahead horizon: kInterp is the reference loop
+  /// (per-instruction fetch timing), kThreaded the fast loop trusting
+  /// the lowered line flags. The reference loop also runs whenever the
+  /// profiler or tracing is active.
   void set_tier(isa::ExecTier tier) { tier_ = tier; }
   isa::ExecTier tier() const { return tier_; }
 
@@ -163,15 +165,19 @@ class PmcaCore {
   void reset();
 
  private:
-  void exec(const isa::Instr& instr);
-  /// Interpreter tier of run_slice() (also the deopt target of the
-  /// threaded tier): the per-instruction decode-switch loop.
-  void run_slice_interp(Cycles limit_cycle, u32 limit_id, u64 max_instrs,
-                        bool lockstep, profile::CoreProfile* prof);
-  /// Threaded tier of run_slice(): pre-resolved handler pointers, no
-  /// per-instruction opcode switch or field decode. Delegates to
-  /// run_slice_interp() at deopt points (ecall/ebreak/illegal).
-  void run_slice_threaded(Cycles limit_cycle, u32 limit_id, u64 max_instrs);
+  /// The ops without a threaded handler — ecall, ebreak — and the fault
+  /// for anything the cluster cannot execute. pc_/next_pc_/issue_cycle_
+  /// are set as for a handler.
+  void exec_slow(isa::Op op);
+  /// The dispatch loop of run_slice() over the lowered threaded code
+  /// (DESIGN.md §15). kHooks selects the reference/instrumented variant
+  /// (per-instruction fetch timing, profiler brackets, trace hooks,
+  /// lockstep when tracing). Never inlined into run_slice(), for the
+  /// reason given at Cva6Core::dispatch.
+  template <bool kHooks>
+  [[gnu::noinline]] void run_slice_loop(Cycles limit_cycle, u32 limit_id,
+                                        u64 max_instrs, bool lockstep,
+                                        profile::CoreProfile* prof);
   void apply_hwloops();
   /// Cluster I-cache timing for a fetch at `pc`: paid once per line.
   void fetch_timing(Addr pc);
@@ -230,7 +236,7 @@ class PmcaCore {
   profile::Handle prof_handle_;  // cycle-attribution registration
 };
 
-/// Threaded-tier handler lookup for one op (null fn == deopt point).
+/// Handler lookup for one op (null fn == retired by exec_slow()).
 /// Exposed so threaded_test can assert exhaustive table coverage.
 isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
                                             const PmcaCoreConfig& config);

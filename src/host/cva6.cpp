@@ -14,7 +14,6 @@
 
 namespace hulkv::host {
 
-using isa::Instr;
 using isa::Op;
 
 namespace {
@@ -198,49 +197,6 @@ void Cva6Core::trace_commit() {
   pending_commits_ = 0;
 }
 
-// Block-dispatch loop: one cache probe per straight-line run instead
-// of one per instruction. Every per-instruction side effect of the old
-// loop (per-line I-cache timing, trace log, commit batching, the
-// instruction-budget check) happens in the same order, so timing is
-// bit-identical to per-instruction dispatch.
-//
-// Templated on whether the cycle profiler is collecting so the
-// disabled-mode loop carries no bracket code at all — not even a dead
-// branch: a live `prof` register measurably slows this loop. The
-// profiled instantiation brackets every retired instruction. The flag
-// is resolved once per run(): enabling/disabling the profiler between
-// runs is supported, mid-run is not.
-template <bool kProfiled>
-void Cva6Core::dispatch_blocks(u64 max_instructions, u64 start_instret,
-                               profile::CoreProfile* prof) {
-  while (!exited_ && instret_ - start_instret < max_instructions) {
-    const isa::DecodedBlock& block = blocks_.block_at(pc_);
-    const u64 budget = max_instructions - (instret_ - start_instret);
-    const size_t count =
-        static_cast<size_t>(std::min<u64>(block.instrs.size(), budget));
-    for (size_t i = 0; i < count; ++i) {
-      const Instr& instr = block.instrs[i];
-      if constexpr (kProfiled) prof->begin_instr(cycle_);
-      fetch_timing(pc_);
-      if (trace_) {
-        log(LogLevel::kTrace, "cva6", "cyc=", cycle_, " pc=0x", std::hex,
-            pc_, std::dec, "  ", isa::disasm(instr));
-      }
-      next_pc_ = pc_ + 4;
-      cycle_ += 1;  // single-issue, in-order
-      exec(instr);
-      ++instret_;
-      if constexpr (kProfiled) prof->end_instr(block, i, cycle_);
-      if (trace::enabled()) trace_commit();
-      pc_ = next_pc_;
-      // Only a block's last instruction can redirect control or exit
-      // (blocks end at branches/jumps/ecall/ebreak/wfi), so the next
-      // iteration's pc_ is always the sequential block address.
-      if (exited_) break;
-    }
-  }
-}
-
 Cva6Core::RunResult Cva6Core::run(u64 max_instructions) {
   // One host-dispatch telemetry span per run() chunk — outside the
   // dispatch loop, so the disabled-mode loop body is untouched.
@@ -249,16 +205,19 @@ Cva6Core::RunResult Cva6Core::run(u64 max_instructions) {
   const u64 start_instret = instret_;
   exited_ = false;
 
+  // One loop, two instantiations (DESIGN.md §15): the hooked loop
+  // whenever something observes single instructions (profiler, trace
+  // log, event trace) or the interp reference tier is selected; else the
+  // fast loop, specialized on whether the budget can bind (run()'s
+  // default UINT64_MAX cannot; checkpointed runs keep the arithmetic).
   profile::CoreProfile* prof = profile::attach(prof_handle_, stats_.name());
-  if (prof != nullptr) {
-    // Profiled runs stay on the interpreter tier: per-instruction
-    // attribution brackets are part of its loop (DESIGN.md §15).
-    dispatch_blocks<true>(max_instructions, start_instret, prof);
-  } else if (tier_ == isa::ExecTier::kThreaded && !trace_ &&
-             !trace::enabled()) {
-    dispatch_threaded(max_instructions, start_instret);
+  if (prof != nullptr || trace_ || trace::enabled() ||
+      tier_ == isa::ExecTier::kInterp) {
+    dispatch<true, true>(max_instructions, start_instret, prof);
+  } else if (max_instructions == UINT64_MAX) {
+    dispatch<false, false>(UINT64_MAX, start_instret, nullptr);
   } else {
-    dispatch_blocks<false>(max_instructions, start_instret, nullptr);
+    dispatch<false, true>(max_instructions, start_instret, nullptr);
   }
 
   stats_.set("cycles", cycle_);
@@ -279,564 +238,29 @@ Cva6Core::RunResult Cva6Core::run(u64 max_instructions) {
           exited_};
 }
 
-void Cva6Core::exec(const Instr& in) {
-  const auto rs1 = x_[in.rs1];
-  const auto rs2 = x_[in.rs2];
-  const auto wr = [this, &in](u64 v) { set_reg(in.rd, v); };
-  const auto wr32 = [this, &in](u64 v) {
-    set_reg(in.rd, sign_extend(v & 0xFFFFFFFFull, 32));
-  };
-  // CVA6 has a branch predictor; we model static BTFN (backward taken,
-  // forward not-taken): loop back-edges are free, mispredictions (forward
-  // taken, or a not-taken backward branch such as a loop exit) pay the
-  // pipeline flush.
-  const auto branch_to = [this](i64 offset) {
-    next_pc_ = pc_ + offset;
-    ctr_taken_branches_ += 1;
-    if (offset > 0) {
-      cycle_ += config_.taken_branch_penalty;
-      ctr_branch_mispredicts_ += 1;
-    }
-  };
-  const auto branch_not_taken = [this, &in] {
-    if (in.imm < 0) {
-      cycle_ += config_.taken_branch_penalty;
-      ctr_branch_mispredicts_ += 1;
-    }
-  };
-
-  switch (in.op) {
-    case Op::kLui:
-      wr(sign_extend(static_cast<u32>(in.imm), 32));
-      break;
-    case Op::kAuipc:
-      wr(pc_ + sign_extend(static_cast<u32>(in.imm), 32));
-      break;
-    case Op::kJal:
-      wr(pc_ + 4);
-      next_pc_ = pc_ + in.imm;
-      cycle_ += config_.jump_penalty;
-      break;
-    case Op::kJalr: {
-      const Addr target = (rs1 + in.imm) & ~1ull;
-      wr(pc_ + 4);
-      next_pc_ = target;
-      cycle_ += config_.jump_penalty;
-      break;
-    }
-    case Op::kBeq:
-      if (rs1 == rs2) {
-        branch_to(in.imm);
-      } else {
-        branch_not_taken();
-      }
-      break;
-    case Op::kBne:
-      if (rs1 != rs2) {
-        branch_to(in.imm);
-      } else {
-        branch_not_taken();
-      }
-      break;
-    case Op::kBlt:
-      if (static_cast<i64>(rs1) < static_cast<i64>(rs2)) {
-        branch_to(in.imm);
-      } else {
-        branch_not_taken();
-      }
-      break;
-    case Op::kBge:
-      if (static_cast<i64>(rs1) >= static_cast<i64>(rs2)) {
-        branch_to(in.imm);
-      } else {
-        branch_not_taken();
-      }
-      break;
-    case Op::kBltu:
-      if (rs1 < rs2) {
-        branch_to(in.imm);
-      } else {
-        branch_not_taken();
-      }
-      break;
-    case Op::kBgeu:
-      if (rs1 >= rs2) {
-        branch_to(in.imm);
-      } else {
-        branch_not_taken();
-      }
-      break;
-
-    case Op::kLb:
-      wr(load(rs1 + in.imm, 1, true));
-      break;
-    case Op::kLh:
-      wr(load(rs1 + in.imm, 2, true));
-      break;
-    case Op::kLw:
-      wr(load(rs1 + in.imm, 4, true));
-      break;
-    case Op::kLbu:
-      wr(load(rs1 + in.imm, 1, false));
-      break;
-    case Op::kLhu:
-      wr(load(rs1 + in.imm, 2, false));
-      break;
-    case Op::kLwu:
-      wr(load(rs1 + in.imm, 4, false));
-      break;
-    case Op::kLd:
-      wr(load(rs1 + in.imm, 8, false));
-      break;
-    case Op::kSb:
-      store(rs1 + in.imm, rs2, 1);
-      break;
-    case Op::kSh:
-      store(rs1 + in.imm, rs2, 2);
-      break;
-    case Op::kSw:
-      store(rs1 + in.imm, rs2, 4);
-      break;
-    case Op::kSd:
-      store(rs1 + in.imm, rs2, 8);
-      break;
-
-    case Op::kAddi:
-      wr(rs1 + in.imm);
-      break;
-    case Op::kSlti:
-      wr(static_cast<i64>(rs1) < in.imm ? 1 : 0);
-      break;
-    case Op::kSltiu:
-      wr(rs1 < static_cast<u64>(static_cast<i64>(in.imm)) ? 1 : 0);
-      break;
-    case Op::kXori:
-      wr(rs1 ^ static_cast<u64>(static_cast<i64>(in.imm)));
-      break;
-    case Op::kOri:
-      wr(rs1 | static_cast<u64>(static_cast<i64>(in.imm)));
-      break;
-    case Op::kAndi:
-      wr(rs1 & static_cast<u64>(static_cast<i64>(in.imm)));
-      break;
-    case Op::kSlli:
-      wr(rs1 << (in.imm & 63));
-      break;
-    case Op::kSrli:
-      wr(rs1 >> (in.imm & 63));
-      break;
-    case Op::kSrai:
-      wr(static_cast<u64>(static_cast<i64>(rs1) >> (in.imm & 63)));
-      break;
-    case Op::kAdd:
-      wr(rs1 + rs2);
-      break;
-    case Op::kSub:
-      wr(rs1 - rs2);
-      break;
-    case Op::kSll:
-      wr(rs1 << (rs2 & 63));
-      break;
-    case Op::kSlt:
-      wr(static_cast<i64>(rs1) < static_cast<i64>(rs2) ? 1 : 0);
-      break;
-    case Op::kSltu:
-      wr(rs1 < rs2 ? 1 : 0);
-      break;
-    case Op::kXor:
-      wr(rs1 ^ rs2);
-      break;
-    case Op::kSrl:
-      wr(rs1 >> (rs2 & 63));
-      break;
-    case Op::kSra:
-      wr(static_cast<u64>(static_cast<i64>(rs1) >> (rs2 & 63)));
-      break;
-    case Op::kOr:
-      wr(rs1 | rs2);
-      break;
-    case Op::kAnd:
-      wr(rs1 & rs2);
-      break;
-
-    case Op::kAddiw:
-      wr32(rs1 + in.imm);
-      break;
-    case Op::kSlliw:
-      wr32(rs1 << (in.imm & 31));
-      break;
-    case Op::kSrliw:
-      wr32(static_cast<u32>(rs1) >> (in.imm & 31));
-      break;
-    case Op::kSraiw:
-      wr32(static_cast<u64>(
-          static_cast<i64>(static_cast<i32>(rs1)) >> (in.imm & 31)));
-      break;
-    case Op::kAddw:
-      wr32(rs1 + rs2);
-      break;
-    case Op::kSubw:
-      wr32(rs1 - rs2);
-      break;
-    case Op::kSllw:
-      wr32(rs1 << (rs2 & 31));
-      break;
-    case Op::kSrlw:
-      wr32(static_cast<u32>(rs1) >> (rs2 & 31));
-      break;
-    case Op::kSraw:
-      wr32(static_cast<u64>(
-          static_cast<i64>(static_cast<i32>(rs1)) >> (rs2 & 31)));
-      break;
-
-    case Op::kFence:
-      break;  // single in-order master: no-op
-    case Op::kEcall: {
-      const u64 num = x_[isa::reg::a7];
-      if (num == 93) {  // exit
-        exited_ = true;
-        exit_code_ = x_[isa::reg::a0];
-      } else if (num == 64) {  // write(buf = a0, len = a1)
-        std::string text(x_[isa::reg::a1], '\0');
-        bus_->read_functional(x_[isa::reg::a0], text.data(), text.size());
-        std::fwrite(text.data(), 1, text.size(), stdout);
-      } else if (syscall_) {
-        if (syscall_(*this) == SyscallAction::kExit) exited_ = true;
-      } else {
-        throw SimError("unhandled ecall, a7=" + std::to_string(num));
-      }
-      break;
-    }
-    case Op::kEbreak:
-      throw SimError("ebreak executed at pc=0x" + std::to_string(pc_));
-    case Op::kWfi:
-      if (wfi_) {
-        const Cycles sleep_start = cycle_;
-        advance_to(wfi_(cycle_));
-        profile::add(profile::Reason::kHostWfi, cycle_ - sleep_start);
-      }
-      break;
-    case Op::kCsrrw:
-    case Op::kCsrrs:
-    case Op::kCsrrc:
-    case Op::kCsrrwi:
-    case Op::kCsrrsi:
-    case Op::kCsrrci:
-      // Performance counters are read-only in this model; writes are
-      // accepted and ignored.
-      wr(csr_read(static_cast<u16>(in.imm)));
-      break;
-
-    case Op::kMul:
-      wr(rs1 * rs2);
-      cycle_ += config_.mul_latency;
-      break;
-    case Op::kMulh:
-      wr(static_cast<u64>(
-          (static_cast<__int128>(static_cast<i64>(rs1)) *
-           static_cast<__int128>(static_cast<i64>(rs2))) >> 64));
-      cycle_ += config_.mul_latency;
-      break;
-    case Op::kMulhsu:
-      wr(static_cast<u64>((static_cast<__int128>(static_cast<i64>(rs1)) *
-                           static_cast<unsigned __int128>(rs2)) >> 64));
-      cycle_ += config_.mul_latency;
-      break;
-    case Op::kMulhu:
-      wr(static_cast<u64>((static_cast<unsigned __int128>(rs1) *
-                           static_cast<unsigned __int128>(rs2)) >> 64));
-      cycle_ += config_.mul_latency;
-      break;
-    case Op::kDiv:
-      if (rs2 == 0) {
-        wr(~0ull);
-      } else if (static_cast<i64>(rs1) == std::numeric_limits<i64>::min() &&
-                 static_cast<i64>(rs2) == -1) {
-        wr(rs1);
-      } else {
-        wr(static_cast<u64>(static_cast<i64>(rs1) / static_cast<i64>(rs2)));
-      }
-      cycle_ += config_.div_latency;
-      break;
-    case Op::kDivu:
-      wr(rs2 == 0 ? ~0ull : rs1 / rs2);
-      cycle_ += config_.div_latency;
-      break;
-    case Op::kRem:
-      if (rs2 == 0) {
-        wr(rs1);
-      } else if (static_cast<i64>(rs1) == std::numeric_limits<i64>::min() &&
-                 static_cast<i64>(rs2) == -1) {
-        wr(0);
-      } else {
-        wr(static_cast<u64>(static_cast<i64>(rs1) % static_cast<i64>(rs2)));
-      }
-      cycle_ += config_.div_latency;
-      break;
-    case Op::kRemu:
-      wr(rs2 == 0 ? rs1 : rs1 % rs2);
-      cycle_ += config_.div_latency;
-      break;
-    case Op::kMulw:
-      wr32(static_cast<u64>(static_cast<i64>(static_cast<i32>(rs1)) *
-                            static_cast<i64>(static_cast<i32>(rs2))));
-      cycle_ += config_.mul_latency;
-      break;
-    case Op::kDivw: {
-      const i32 a = static_cast<i32>(rs1), b = static_cast<i32>(rs2);
-      i32 r;
-      if (b == 0) {
-        r = -1;
-      } else if (a == std::numeric_limits<i32>::min() && b == -1) {
-        r = a;
-      } else {
-        r = a / b;
-      }
-      wr32(static_cast<u32>(r));
-      cycle_ += config_.div_latency;
-      break;
-    }
-    case Op::kDivuw: {
-      const u32 a = static_cast<u32>(rs1), b = static_cast<u32>(rs2);
-      wr32(b == 0 ? ~0u : a / b);
-      cycle_ += config_.div_latency;
-      break;
-    }
-    case Op::kRemw: {
-      const i32 a = static_cast<i32>(rs1), b = static_cast<i32>(rs2);
-      i32 r;
-      if (b == 0) {
-        r = a;
-      } else if (a == std::numeric_limits<i32>::min() && b == -1) {
-        r = 0;
-      } else {
-        r = a % b;
-      }
-      wr32(static_cast<u32>(r));
-      cycle_ += config_.div_latency;
-      break;
-    }
-    case Op::kRemuw: {
-      const u32 a = static_cast<u32>(rs1), b = static_cast<u32>(rs2);
-      wr32(b == 0 ? a : a % b);
-      cycle_ += config_.div_latency;
-      break;
-    }
-
-    // ---- F/D ----
-    case Op::kFlw:
-      set_freg(in.rd, 0xFFFFFFFF00000000ull | load(rs1 + in.imm, 4, false));
-      break;
-    case Op::kFld:
-      set_freg(in.rd, load(rs1 + in.imm, 8, false));
-      break;
-    case Op::kFsw:
-      store(rs1 + in.imm, static_cast<u32>(f_[in.rs2]), 4);
-      break;
-    case Op::kFsd:
-      store(rs1 + in.imm, f_[in.rs2], 8);
-      break;
-    case Op::kFaddS:
-      set_freg(in.rd, boxed(as_f32(f_[in.rs1]) + as_f32(f_[in.rs2])));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFsubS:
-      set_freg(in.rd, boxed(as_f32(f_[in.rs1]) - as_f32(f_[in.rs2])));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFmulS:
-      set_freg(in.rd, boxed(as_f32(f_[in.rs1]) * as_f32(f_[in.rs2])));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFdivS:
-      set_freg(in.rd, boxed(as_f32(f_[in.rs1]) / as_f32(f_[in.rs2])));
-      cycle_ += config_.fdiv_latency;
-      break;
-    case Op::kFsqrtS:
-      set_freg(in.rd, boxed(std::sqrt(as_f32(f_[in.rs1]))));
-      cycle_ += config_.fdiv_latency;
-      break;
-    case Op::kFmaddS:
-      set_freg(in.rd, boxed(std::fma(as_f32(f_[in.rs1]), as_f32(f_[in.rs2]),
-                                     as_f32(f_[in.rs3]))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFmsubS:
-      set_freg(in.rd, boxed(std::fma(as_f32(f_[in.rs1]), as_f32(f_[in.rs2]),
-                                     -as_f32(f_[in.rs3]))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFsgnjS: {
-      const u32 a = static_cast<u32>(f_[in.rs1]);
-      const u32 b = static_cast<u32>(f_[in.rs2]);
-      set_freg(in.rd,
-               0xFFFFFFFF00000000ull | ((a & 0x7FFFFFFFu) | (b & 0x80000000u)));
-      break;
-    }
-    case Op::kFsgnjnS: {
-      const u32 a = static_cast<u32>(f_[in.rs1]);
-      const u32 b = static_cast<u32>(f_[in.rs2]);
-      set_freg(in.rd, 0xFFFFFFFF00000000ull |
-                          ((a & 0x7FFFFFFFu) | (~b & 0x80000000u)));
-      break;
-    }
-    case Op::kFsgnjxS: {
-      const u32 a = static_cast<u32>(f_[in.rs1]);
-      const u32 b = static_cast<u32>(f_[in.rs2]);
-      set_freg(in.rd,
-               0xFFFFFFFF00000000ull | (a ^ (b & 0x80000000u)));
-      break;
-    }
-    case Op::kFminS:
-      set_freg(in.rd,
-               boxed(std::fmin(as_f32(f_[in.rs1]), as_f32(f_[in.rs2]))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFmaxS:
-      set_freg(in.rd,
-               boxed(std::fmax(as_f32(f_[in.rs1]), as_f32(f_[in.rs2]))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFeqS:
-      wr(as_f32(f_[in.rs1]) == as_f32(f_[in.rs2]) ? 1 : 0);
-      break;
-    case Op::kFltS:
-      wr(as_f32(f_[in.rs1]) < as_f32(f_[in.rs2]) ? 1 : 0);
-      break;
-    case Op::kFleS:
-      wr(as_f32(f_[in.rs1]) <= as_f32(f_[in.rs2]) ? 1 : 0);
-      break;
-    case Op::kFcvtWS:
-      wr(sign_extend(static_cast<u32>(cvt_f_to_i32(as_f32(f_[in.rs1]))), 32));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFcvtLS:
-      wr(static_cast<u64>(cvt_f_to_i64(as_f32(f_[in.rs1]))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFcvtSW:
-      set_freg(in.rd, boxed(static_cast<float>(static_cast<i32>(rs1))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFcvtSL:
-      set_freg(in.rd, boxed(static_cast<float>(static_cast<i64>(rs1))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFmvXW:
-      wr(sign_extend(f_[in.rs1] & 0xFFFFFFFFull, 32));
-      break;
-    case Op::kFmvWX:
-      set_freg(in.rd, 0xFFFFFFFF00000000ull | (rs1 & 0xFFFFFFFFull));
-      break;
-
-    case Op::kFaddD:
-      set_freg(in.rd, raw64(as_f64(f_[in.rs1]) + as_f64(f_[in.rs2])));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFsubD:
-      set_freg(in.rd, raw64(as_f64(f_[in.rs1]) - as_f64(f_[in.rs2])));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFmulD:
-      set_freg(in.rd, raw64(as_f64(f_[in.rs1]) * as_f64(f_[in.rs2])));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFdivD:
-      set_freg(in.rd, raw64(as_f64(f_[in.rs1]) / as_f64(f_[in.rs2])));
-      cycle_ += config_.fdiv_latency;
-      break;
-    case Op::kFmaddD:
-      set_freg(in.rd, raw64(std::fma(as_f64(f_[in.rs1]), as_f64(f_[in.rs2]),
-                                     as_f64(f_[in.rs3]))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFmsubD:
-      set_freg(in.rd, raw64(std::fma(as_f64(f_[in.rs1]), as_f64(f_[in.rs2]),
-                                     -as_f64(f_[in.rs3]))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFsgnjD:
-      set_freg(in.rd, (f_[in.rs1] & 0x7FFFFFFFFFFFFFFFull) |
-                          (f_[in.rs2] & 0x8000000000000000ull));
-      break;
-    case Op::kFsgnjnD:
-      set_freg(in.rd, (f_[in.rs1] & 0x7FFFFFFFFFFFFFFFull) |
-                          (~f_[in.rs2] & 0x8000000000000000ull));
-      break;
-    case Op::kFsgnjxD:
-      set_freg(in.rd,
-               f_[in.rs1] ^ (f_[in.rs2] & 0x8000000000000000ull));
-      break;
-    case Op::kFeqD:
-      wr(as_f64(f_[in.rs1]) == as_f64(f_[in.rs2]) ? 1 : 0);
-      break;
-    case Op::kFltD:
-      wr(as_f64(f_[in.rs1]) < as_f64(f_[in.rs2]) ? 1 : 0);
-      break;
-    case Op::kFleD:
-      wr(as_f64(f_[in.rs1]) <= as_f64(f_[in.rs2]) ? 1 : 0);
-      break;
-    case Op::kFcvtWD:
-      wr(sign_extend(static_cast<u32>(cvt_f_to_i32(as_f64(f_[in.rs1]))), 32));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFcvtLD:
-      wr(static_cast<u64>(cvt_f_to_i64(as_f64(f_[in.rs1]))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFcvtDW:
-      set_freg(in.rd, raw64(static_cast<double>(static_cast<i32>(rs1))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFcvtDL:
-      set_freg(in.rd, raw64(static_cast<double>(static_cast<i64>(rs1))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFcvtDS:
-      set_freg(in.rd, raw64(static_cast<double>(as_f32(f_[in.rs1]))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFcvtSD:
-      set_freg(in.rd, boxed(static_cast<float>(as_f64(f_[in.rs1]))));
-      cycle_ += config_.fpu_latency;
-      break;
-    case Op::kFmvXD:
-      wr(f_[in.rs1]);
-      break;
-    case Op::kFmvDX:
-      set_freg(in.rd, rs1);
-      break;
-
-    default:
-      throw SimError("CVA6 cannot execute '" +
-                     std::string(isa::mnemonic(in.op)) + "' at pc=0x" +
-                     std::to_string(pc_) +
-                     " (Xpulp extensions are PMCA-only)");
-  }
-}
-
-// ---- threaded execution tier (DESIGN.md §15) ----
+// ---- instruction semantics (DESIGN.md §15) ----
 //
-// One static handler per host op, `void(Cva6Core&, const ThreadedInstr&)`.
-// The handler ABI and timing-neutrality contract: when a handler runs,
-// `cycle_` already includes the instruction's static cost (1-cycle issue
-// + fixed functional-unit latency, folded into ThreadedInstr::cyc at
-// lower time) and `instret_` does NOT yet count the instruction — the
-// same point in time exec() sees after `cycle_ += 1` plus its own
-// latency adds (the adds commute; nothing reads cycle_ in between).
-// Dynamic costs (cache misses, TLB walks, branch-mispredict flushes) and
-// every stat-counter side effect stay in the handler, in exec()'s order.
-// Handlers never touch pc_/next_pc_ except the control ops (jal/jalr/
-// branches), which write the successor into pc_ directly; the dispatch
-// loop restores the interpreter's pc_/next_pc_ invariant per block.
+// One static handler per host op, `void(Cva6Core&, const ThreadedInstr&)`
+// — the only per-op implementation; exec_slow() covers the few ops
+// without one. The handler ABI: when a handler runs, `cycle_` already
+// includes the instruction's static cost (1-cycle issue + fixed
+// functional-unit latency, folded into ThreadedInstr::cyc at lower
+// time) and `instret_` does NOT yet count the instruction. Dynamic
+// costs (cache misses, TLB walks, branch-mispredict flushes) and every
+// stat-counter side effect stay in the handler. Handlers never touch
+// pc_/next_pc_ except the control ops (jal/jalr/branches), which write
+// the successor into pc_ directly; the dispatch loop re-establishes
+// `next_pc_ == pc_` at every block end.
 struct ThreadedHost {
   using TI = isa::threaded::ThreadedInstr;
 
   static void wr32(Cva6Core& c, u8 rd, u64 v) {
     c.set_reg(rd, sign_extend(v & 0xFFFFFFFFull, 32));
   }
-  /// Static BTFN branch resolution — same cycle/counter side effects as
-  /// exec()'s branch_to / branch_not_taken.
+  /// CVA6 has a branch predictor; we model static BTFN (backward taken,
+  /// forward not-taken): loop back-edges are free, mispredictions
+  /// (forward taken, or a not-taken backward branch such as a loop exit)
+  /// pay the pipeline flush.
   static void branch(Cva6Core& c, const TI& t, bool taken) {
     if (taken) {
       c.pc_ = t.pc + t.imm;
@@ -1411,39 +835,72 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
     case Op::kFmvDX: return plain(&H::fmvdx);
     default:
       // ecall/ebreak/wfi, kIllegal and the PMCA-only Xpulp extensions:
-      // deopt to the interpreter (which services or faults them with
-      // the exact pc).
+      // retired (or faulted, with the exact pc) by exec_slow().
       return HandlerInfo{nullptr, 1};
   }
 }
 
-// Threaded dispatch: one indirect call per retired instruction. The
-// static per-instruction cost is added before the handler runs (exec()
-// adds its 1-cycle issue before and its fixed latency inside — the
-// additions commute, no timing reads happen in between) and instret_ is
-// counted after, so dynamic-cost code inside handlers observes exactly
-// the interpreter's cycle_/instret_ values. pc_/next_pc_ are block
-// carried: only control-tail handlers write pc_; at block end the loop
-// re-establishes the interpreter's `next_pc_ == pc_` retire invariant.
-// Deopt points (flags & kFlagDeopt — always block-terminal) re-enter
-// the interpreter at their exact pc via interp_block().
-void Cva6Core::dispatch_threaded(u64 max_instructions, u64 start_instret) {
-  // run()'s default (unbounded) budget is the hot case; the bounded
-  // variant (checkpointed runs) keeps the per-block budget arithmetic.
-  if (max_instructions == UINT64_MAX) {
-    dispatch_threaded_loop<false>(UINT64_MAX, start_instret);
-  } else {
-    dispatch_threaded_loop<true>(max_instructions, start_instret);
+void Cva6Core::exec_slow(Op op) {
+  switch (op) {
+    case Op::kEcall: {
+      const u64 num = x_[isa::reg::a7];
+      if (num == 93) {  // exit
+        exited_ = true;
+        exit_code_ = x_[isa::reg::a0];
+      } else if (num == 64) {  // write(buf = a0, len = a1)
+        std::string text(x_[isa::reg::a1], '\0');
+        bus_->read_functional(x_[isa::reg::a0], text.data(), text.size());
+        std::fwrite(text.data(), 1, text.size(), stdout);
+      } else if (syscall_) {
+        if (syscall_(*this) == SyscallAction::kExit) exited_ = true;
+      } else {
+        throw SimError("unhandled ecall, a7=" + std::to_string(num));
+      }
+      break;
+    }
+    case Op::kEbreak:
+      throw SimError("ebreak executed at pc=0x" + std::to_string(pc_));
+    case Op::kWfi:
+      if (wfi_) {
+        const Cycles sleep_start = cycle_;
+        advance_to(wfi_(cycle_));
+        profile::add(profile::Reason::kHostWfi, cycle_ - sleep_start);
+      }
+      break;
+    default:
+      throw SimError("CVA6 cannot execute '" +
+                     std::string(isa::mnemonic(op)) + "' at pc=0x" +
+                     std::to_string(pc_) +
+                     " (Xpulp extensions are PMCA-only)");
   }
 }
 
-template <bool kBounded>
-void Cva6Core::dispatch_threaded_loop(u64 max_instructions,
-                                      u64 start_instret) {
+// The dispatch loop: one indirect call per retired instruction over the
+// block's lowered code. The static per-instruction cost is added before
+// the handler runs and instret_ is counted after. pc_/next_pc_ are
+// block carried: only control-tail handlers write pc_; at block end the
+// loop re-establishes `next_pc_ == pc_`. A null-handler entry retires
+// through exec_slow() after the loop, with pc_/next_pc_ set to its own
+// address and successor: ecall/ebreak/wfi end their block, anything
+// else without a handler faults.
+//
+// kHooks = false trusts the lowered line flags for I-cache timing and
+// re-enters a tight loop without a cache probe. kHooks = true is the
+// reference and the instrumented path: it calls fetch_timing(pc) per
+// instruction (the dynamic line compare the flags are checked against
+// by the tier differential), brackets each retire for the cycle
+// profiler, writes the trace log and batches commit events. It always
+// runs bounded, so it never takes the tight-loop goto.
+template <bool kHooks, bool kBounded>
+void Cva6Core::dispatch(u64 max_instructions, u64 start_instret,
+                        profile::CoreProfile* prof) {
   using HostFn = void (*)(Cva6Core&, const isa::threaded::ThreadedInstr&);
-  // exited_ is false on entry (run() clears it) and only interp_block
-  // can set it — handlers deopt on ecall/wfi — so it is re-checked only
-  // after a deopt, not per block.
+  const auto retire_hooks = [&](const isa::DecodedBlock& block, size_t i) {
+    if (prof != nullptr) prof->end_instr(block, i, cycle_);
+    if (trace::enabled()) trace_commit();
+  };
+  // exited_ is false on entry (run() clears it) and only exec_slow()
+  // can set it, so it is re-checked only there, not per block.
   while (!kBounded || instret_ - start_instret < max_instructions) {
     isa::DecodedBlock& block = blocks_.block_for_exec(pc_);
     if (block.threaded.generation != block.generation) {
@@ -1468,25 +925,39 @@ void Cva6Core::dispatch_threaded_loop(u64 max_instructions,
     size_t i = 0;
     for (; i < count; ++i) {
       const isa::threaded::ThreadedInstr& t = code[i];
-      if (t.flags != 0) {
-        if ((t.flags & isa::threaded::kFlagDeopt) != 0) break;
+      if constexpr (kHooks) {
+        if (prof != nullptr) prof->begin_instr(cycle_);
+        fetch_timing(t.pc);
+        if (trace_) {
+          log(LogLevel::kTrace, "cva6", "cyc=", cycle_, " pc=0x", std::hex,
+              t.pc, std::dec, "  ", isa::disasm(block.instrs[i]));
+        }
+        if (t.fn == nullptr) break;
+      } else if (t.flags != 0) {
+        if ((t.flags & isa::threaded::kFlagSlow) != 0) break;
         fetch_timing(t.pc);  // block entry or a static line crossing
       }
       cycle_ += t.cyc;
       reinterpret_cast<HostFn>(t.fn)(*this, t);
       ++instret_;
+      if constexpr (kHooks) retire_hooks(block, i);
     }
     if (i < count) {
-      // Deopt: run the remainder — a single block-terminal instruction
-      // — on the interpreter at its exact pc (resumes with correct
-      // pc/instret, pinned by threaded_test).
-      pc_ = code[i].pc;
-      interp_block(max_instructions, start_instret);
+      // ecall/ebreak/wfi (the block's last instruction) or a fault.
+      const isa::threaded::ThreadedInstr& t = code[i];
+      if constexpr (!kHooks) fetch_timing(t.pc);
+      pc_ = t.pc;
+      next_pc_ = t.pc + 4;
+      cycle_ += t.cyc;
+      exec_slow(t.op);
+      ++instret_;
+      if constexpr (kHooks) retire_hooks(block, i);
+      pc_ = next_pc_;
       if (exited_) return;
       continue;
     }
     if (block.threaded.control_tail && i == size) {
-      next_pc_ = pc_;  // retire invariant: interp leaves next_pc_ == pc_
+      next_pc_ = pc_;
       // Tight-loop fast path: the tail branch re-entered this same
       // block, and nothing in a full handler-only run can invalidate
       // the cache or exit — skip the probe and generation re-check.
@@ -1495,30 +966,6 @@ void Cva6Core::dispatch_threaded_loop(u64 max_instructions,
     }
     pc_ = block.start + 4 * i;  // fall-through or budget cut
     next_pc_ = pc_;
-  }
-}
-
-void Cva6Core::interp_block(u64 max_instructions, u64 start_instret) {
-  // Verbatim single-block body of dispatch_blocks<false>, so a deopted
-  // instruction sees the interpreter's exact per-retire sequence.
-  const isa::DecodedBlock& block = blocks_.block_at(pc_);
-  const u64 budget = max_instructions - (instret_ - start_instret);
-  const size_t count =
-      static_cast<size_t>(std::min<u64>(block.instrs.size(), budget));
-  for (size_t i = 0; i < count; ++i) {
-    const Instr& instr = block.instrs[i];
-    fetch_timing(pc_);
-    if (trace_) {
-      log(LogLevel::kTrace, "cva6", "cyc=", cycle_, " pc=0x", std::hex,
-          pc_, std::dec, "  ", isa::disasm(instr));
-    }
-    next_pc_ = pc_ + 4;
-    cycle_ += 1;  // single-issue, in-order
-    exec(instr);
-    ++instret_;
-    if (trace::enabled()) trace_commit();
-    pc_ = next_pc_;
-    if (exited_) break;
   }
 }
 

@@ -77,8 +77,7 @@ struct Cva6Config {
 
 class Cva6Core {
  public:
-  /// Threaded-tier handler table (cva6.cpp); needs the same private
-  /// access as exec().
+  /// Per-op handler table (cva6.cpp): the core's instruction semantics.
   friend struct ThreadedHost;
 
   /// Result of a run() segment.
@@ -129,9 +128,11 @@ class Cva6Core {
   void set_trace(bool enabled) { trace_ = enabled; }
 
   /// Execution tier (DESIGN.md §15). Defaults to the process-wide
-  /// isa::default_tier(); the threaded tier self-deoptimizes to the
-  /// interpreter while the cycle profiler or tracing is active, so
-  /// selecting it never changes attribution or event streams.
+  /// isa::default_tier(). Both tiers run the same handlers: kInterp is
+  /// the reference loop (per-instruction fetch timing), kThreaded the
+  /// fast loop trusting the lowered line flags. The reference loop also
+  /// runs whenever the cycle profiler or tracing is active, so the tier
+  /// never changes attribution or event streams.
   void set_tier(isa::ExecTier tier) { tier_ = tier; }
   isa::ExecTier tier() const { return tier_; }
 
@@ -170,23 +171,19 @@ class Cva6Core {
   mem::SocBus& bus() { return *bus_; }
 
  private:
-  void exec(const isa::Instr& instr);
-  /// Block-dispatch loop of run(), split on whether the cycle profiler
-  /// is collecting so the disabled path carries no bracket code.
-  template <bool kProfiled>
-  void dispatch_blocks(u64 max_instructions, u64 start_instret,
-                       profile::CoreProfile* prof);
-  /// Threaded-tier dispatch loop: pre-resolved handler pointers, no
-  /// per-instruction decode/switch/cache-probe. Falls back to
-  /// interp_block() at deopt points (ecall/ebreak/wfi/illegal).
-  void dispatch_threaded(u64 max_instructions, u64 start_instret);
-  /// dispatch_threaded body, specialized on whether the instruction
-  /// budget can bind (run()'s default UINT64_MAX cannot).
-  template <bool kBounded>
-  void dispatch_threaded_loop(u64 max_instructions, u64 start_instret);
-  /// Execute exactly one decoded block at pc_ with the interpreter
-  /// loop (same per-instruction sequence as dispatch_blocks<false>).
-  void interp_block(u64 max_instructions, u64 start_instret);
+  /// The ops without a threaded handler — ecall, ebreak, wfi — and the
+  /// fault for anything the host cannot execute. pc_/next_pc_ are the
+  /// instruction's address and sequential successor on entry.
+  void exec_slow(isa::Op op);
+  /// The dispatch loop of run() over the lowered threaded code
+  /// (DESIGN.md §15). kHooks selects the reference/instrumented variant
+  /// (per-instruction fetch timing, profiler brackets, trace hooks);
+  /// kBounded whether the instruction budget can bind. Never inlined
+  /// into run(): inlined, the loop keeps its entry pointer on the stack
+  /// (BM_HostIssLoopThreaded ran ~15% slower).
+  template <bool kHooks, bool kBounded>
+  [[gnu::noinline]] void dispatch(u64 max_instructions, u64 start_instret,
+                                  profile::CoreProfile* prof);
   /// I-cache (+ITLB) timing for a fetch at `pc`: paid once per line.
   void fetch_timing(Addr pc);
 
@@ -239,7 +236,7 @@ class Cva6Core {
   profile::Handle prof_handle_;  // cycle-attribution registration
 };
 
-/// Threaded-tier handler lookup for one op (null fn == deopt point).
+/// Handler lookup for one op (null fn == retired by exec_slow()).
 /// Exposed so threaded_test can assert exhaustive table coverage.
 isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
                                             const Cva6Config& config);

@@ -64,9 +64,9 @@ struct DecodedBlock {
   u32 min_cycles = 0;
   std::vector<Instr> instrs;
   /// Threaded-code form (DESIGN.md §15), lowered lazily by the owning
-  /// core's threaded dispatch loop on first execution of this block and
-  /// kept in sync via its own generation tag (stale after an
-  /// invalidation bump, re-lowered on next threaded dispatch).
+  /// core's dispatch loop on first execution of this block and kept in
+  /// sync via its own generation tag (stale after an invalidation bump,
+  /// re-lowered on next dispatch).
   threaded::ThreadedBlock threaded;
 };
 
@@ -116,7 +116,7 @@ class BlockCache {
     return lookup_slow(pc);
   }
 
-  /// Mutable variant for the threaded dispatch loops, which lazily
+  /// Mutable variant for the dispatch loops, which lazily
   /// attach the lowered form to the block (DecodedBlock::threaded).
   /// Same translation/memo behaviour as block_at().
   DecodedBlock& block_for_exec(Addr pc) {

@@ -41,6 +41,7 @@ void lower(const DecodedBlock& block, u32 line_bytes, bool want_shared,
     const HandlerInfo info = resolve(in.op, ctx);
     ThreadedInstr t;
     t.fn = info.fn;
+    t.op = in.op;
     t.rd = in.rd;
     t.rs1 = in.rs1;
     t.rs2 = in.rs2;
@@ -53,10 +54,10 @@ void lower(const DecodedBlock& block, u32 line_bytes, bool want_shared,
     } else if (t.pc % line_bytes == 0) {
       // Provably entering a new fetch line: within a straight-line run
       // the line register only ever advances, so the compare the
-      // interpreter's fetch_timing does is statically true here.
+      // reference loop's fetch_timing does is statically true here.
       t.flags |= kFlagLineEntry;
     }
-    if (info.fn == nullptr) t.flags |= kFlagDeopt;
+    if (info.fn == nullptr) t.flags |= kFlagSlow;
     if (want_shared && ((block.shared_mask >> i) & 1) != 0) {
       t.flags |= kFlagShared;
     }
@@ -67,7 +68,7 @@ void lower(const DecodedBlock& block, u32 line_bytes, bool want_shared,
     const bool is_control =
         tail == Op::kJal || tail == Op::kJalr || is_branch(tail);
     out->control_tail =
-        is_control && (out->code.back().flags & kFlagDeopt) == 0;
+        is_control && (out->code.back().flags & kFlagSlow) == 0;
   }
   // Stamped last: a throw above leaves the lowering stale (generation
   // mismatch) so the next dispatch redoes it, mirroring

@@ -1,22 +1,21 @@
-// Threaded-code execution tier (DESIGN.md §15).
+// Threaded code: the one instruction-execution form of both ISSs
+// (DESIGN.md §15).
 //
-// The interpreter tier dispatches a decoded block with a switch over
-// `Op` per retired instruction; this tier lowers each `DecodedBlock`
-// once into *threaded code*: a flat array of pre-resolved handler
-// pointers with the operands already unpacked into a packed
+// Each `DecodedBlock` is lowered once into a flat array of pre-resolved
+// handler pointers with the operands already unpacked into a packed
 // immediate/register-index form and the instruction's *static* cycle
-// cost (issue + fixed functional-unit latency) precomputed. The hot
-// loop then does no opcode switch, no field decode and no
+// cost (issue + fixed functional-unit latency) precomputed. The
+// dispatch loop then does no opcode switch, no field decode and no
 // per-instruction cache probe — just an indirect call per instruction.
+// The handlers are the cores' only per-op semantics.
 //
 // The lowering is core-agnostic: each core supplies a `HandlerResolver`
-// mapping an `Op` to its handler (or null, which marks the instruction
-// as a deopt point — the dispatch loop falls back to the interpreter at
-// its exact pc). Timing neutrality is a hard contract: a handler
-// performs every cycle-accounting side effect of the corresponding
-// interpreter case in the same order, so interp and threaded runs are
-// bit-identical (enforced by the differential CI gate and
-// determinism_test).
+// mapping an `Op` to its handler, or null for the few ops each core
+// retires through its `exec_slow()` (ecall/ebreak/wfi and faults). Both
+// execution tiers run this code; they differ only in how fetch timing
+// is found (lowered line flags vs a per-instruction compare) and in
+// the per-retire hooks, so interp and threaded runs are bit-identical
+// (enforced by the tier differential CI gate and determinism_test).
 #pragma once
 
 #include <string>
@@ -32,9 +31,10 @@ namespace hulkv::isa {
 
 struct DecodedBlock;
 
-/// Which dispatch loop a core runs. The threaded tier self-deoptimizes
-/// to the interpreter when the cycle profiler is attached or tracing is
-/// enabled (attribution/event order must stay per-instruction exact).
+/// Which variant of the dispatch loop a core runs. kInterp is the
+/// reference: per-instruction fetch timing, the variant that also
+/// carries the profiler/trace hooks (and runs whenever those are
+/// active). kThreaded trusts the lowered line flags.
 enum class ExecTier : u8 { kInterp, kThreaded };
 
 /// "interp" / "threaded" -> tier; throws SimError on anything else.
@@ -52,7 +52,7 @@ void configure_tier(const report::BenchOptions& options);
 
 namespace threaded {
 
-// ThreadedInstr::flags bits. Line flags mark where the interpreter's
+// ThreadedInstr::flags bits. Line flags mark where the reference loop's
 // per-line fetch timing can fire: the block's first instruction may
 // land anywhere in a fetch line (dynamic compare against the core's
 // current line), while a later instruction enters a new line exactly
@@ -62,10 +62,10 @@ namespace threaded {
 // skips the check entirely.
 inline constexpr u16 kFlagLineCheck = 1u << 0;  // block entry: compare
 inline constexpr u16 kFlagLineEntry = 1u << 1;  // static line crossing
-/// Execute via the interpreter (trap/envcall ops and ops the core has
-/// no handler for). Deopt ops all end their block (BlockCache contract)
-/// so a deopt is always block-terminal.
-inline constexpr u16 kFlagDeopt = 1u << 2;
+/// No handler: retired by the core's exec_slow(). Trap/envcall ops end
+/// their block (BlockCache contract) and ops the core cannot execute
+/// fault, so nothing after such an entry runs in the same block.
+inline constexpr u16 kFlagSlow = 1u << 2;
 /// May touch cross-core shared state (DecodedBlock::shared_mask bit,
 /// post fact-provider widening) — the cluster's run-ahead horizon check.
 inline constexpr u16 kFlagShared = 1u << 3;
@@ -74,12 +74,12 @@ inline constexpr u16 kFlagShared = 1u << 3;
 /// its own `void(Core&, const ThreadedInstr&)` signature.
 using AnyFn = void (*)();
 
-/// One lowered instruction: pre-resolved handler, unpacked operands,
-/// the instruction's own address (control handlers compute targets as
-/// `pc + imm`; deopt re-enters the interpreter at `pc`), and the static
-/// cycles the instruction always pays (1-cycle issue + fixed latency).
-/// Dynamic cycle costs (cache misses, bank conflicts, taken-branch
-/// penalties) stay inside the handler, exactly like the interpreter.
+/// One lowered instruction: pre-resolved handler, the op, unpacked
+/// operands, the instruction's own address (control handlers compute
+/// targets as `pc + imm`; exec_slow() and fault messages see `pc`), and
+/// the static cycles the instruction always pays (1-cycle issue + fixed
+/// latency). Dynamic cycle costs (cache misses, bank conflicts,
+/// taken-branch penalties) stay inside the handler.
 struct ThreadedInstr {
   AnyFn fn = nullptr;
   u8 rd = 0;
@@ -87,7 +87,7 @@ struct ThreadedInstr {
   u8 rs2 = 0;
   u8 rs3 = 0;
   u16 flags = 0;
-  u16 reserved = 0;
+  Op op = Op::kIllegal;  // what exec_slow() dispatches on (kFlagSlow)
   i32 imm = 0;
   u32 cyc = 1;
   Addr pc = 0;
@@ -97,11 +97,11 @@ struct ThreadedInstr {
 // (scripts/lint.sh greps for this assert staying put).
 static_assert(sizeof(ThreadedInstr) == 32, "ThreadedInstr grew past 32B");
 
-/// Threaded form of one DecodedBlock, lowered lazily on first threaded
-/// dispatch and tagged with the DecodedBlock generation it was lowered
-/// from: a block-cache invalidation bumps the generation, the stale
-/// lowering is detected by mismatch and redone in place (the
-/// deopt-on-invalidation round trip pinned by threaded_test).
+/// Threaded form of one DecodedBlock, lowered lazily on first dispatch
+/// and tagged with the DecodedBlock generation it was lowered from: a
+/// block-cache invalidation bumps the generation, the stale lowering is
+/// detected by mismatch and redone in place (the invalidation round
+/// trip pinned by threaded_test).
 struct ThreadedBlock {
   u64 generation = 0;  // 0 = never lowered (generations start at 1)
   /// Last instruction is a handled branch/jump: its handler sets the
@@ -111,8 +111,8 @@ struct ThreadedBlock {
 };
 
 /// What a core's resolver returns for one Op: the handler and the
-/// static cycles (1 + fixed latency). A null fn marks the op as a deopt
-/// point.
+/// static cycles (1 + fixed latency). A null fn marks the op as one the
+/// core retires through exec_slow().
 struct HandlerInfo {
   AnyFn fn = nullptr;
   u32 static_cycles = 1;

@@ -478,10 +478,13 @@ void Server::finalize_job(const std::shared_ptr<Job>& job) {
   resp.request_id = job->request.request_id;
   if (resp.status == Status::kOk) resp.rows = job->rows;
   const bool traced = obs_->enabled();
+  // The quota slot frees before the response can reach the client: a
+  // client that refills the moment a response lands, at exactly
+  // client_quota in flight, must never see kQuotaExceeded.
+  release_quota(job->request.client_id);
   const u64 write0_ns = traced ? telemetry::now_ns() : 0;
   job->conn->send(encode_response(resp));
   const u64 end_ns = traced ? telemetry::now_ns() : 0;
-  release_quota(job->request.client_id);
   job->conn->pending.fetch_sub(1);
   job->conn->finish_if_drained();
 

@@ -11,11 +11,7 @@ void Archive::bytes(void* data, u64 len) {
                    static_cast<const u8*>(data) + len);
       break;
     case Mode::kLoad:
-      if (in_pos_ + len > in_size_) {
-        throw SimError("snapshot: truncated section (wanted " +
-                       std::to_string(len) + " bytes, " +
-                       std::to_string(in_size_ - in_pos_) + " left)");
-      }
+      check_available(len, 1);
       std::memcpy(data, in_ + in_pos_, len);
       in_pos_ += len;
       break;
@@ -25,16 +21,32 @@ void Archive::bytes(void* data, u64 len) {
   }
 }
 
+void Archive::check_available(u64 count, u64 elem_bytes) const {
+  // in_pos_ never passes in_size_, so remaining() cannot wrap; dividing
+  // instead of multiplying keeps count * elem_bytes from overflowing.
+  if (count > remaining() / elem_bytes) {
+    const std::string each =
+        elem_bytes == 1 ? "" : " x " + std::to_string(elem_bytes);
+    throw SimError("snapshot: truncated section (wanted " +
+                   std::to_string(count) + each + " bytes, " +
+                   std::to_string(remaining()) + " left)");
+  }
+}
+
 void Archive::str(std::string& s) {
   u64 len = s.size();
   pod(len);
-  if (loading()) s.resize(len);
+  if (loading()) {
+    check_available(len, 1);
+    s.resize(len);
+  }
   if (len != 0) bytes(s.data(), len);
 }
 
 void Archive::bool_vec(std::vector<bool>& v) {
   u64 count = v.size();
   pod(count);
+  if (loading()) check_available(count, 1);
   std::vector<u8> raw(count);
   if (!loading()) {
     for (u64 i = 0; i < count; ++i) raw[i] = v[i] ? 1 : 0;

@@ -94,7 +94,10 @@ class Archive {
                   "Archive::pod_vec needs trivially copyable elements");
     u64 count = v.size();
     pod(count);
-    if (loading()) v.resize(count);
+    if (loading()) {
+      check_available(count, sizeof(T));
+      v.resize(count);
+    }
     if (count != 0) bytes(v.data(), count * sizeof(T));
   }
 
@@ -103,6 +106,12 @@ class Archive {
 
  private:
   explicit Archive(Mode mode) : mode_(mode) {}
+
+  /// kLoad: throw SimError unless `count` elements of `elem_bytes` each
+  /// fit in the unconsumed input. Called before anything is sized from
+  /// a length prefix read from the input (no wrap, no count * size
+  /// overflow).
+  void check_available(u64 count, u64 elem_bytes) const;
 
   Mode mode_;
   std::vector<u8>* out_ = nullptr;

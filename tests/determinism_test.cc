@@ -17,6 +17,7 @@
 #include "isa/assembler.hpp"
 #include "isa/threaded.hpp"
 #include "kernels/iot_benchmarks.hpp"
+#include "profile/profile.hpp"
 
 namespace {
 
@@ -100,13 +101,16 @@ TEST(Determinism, MemsysExplorerOutputIndependentOfWorkerCount) {
 }
 
 TEST(Determinism, ThreadedTierDigestMatchesInterpAtCheckpoints) {
-  // The threaded execution tier's contract (DESIGN.md §15): every
-  // cycle-accounting side effect in the interpreter's order, so the
-  // full serialized SoC state — registers, clocks, caches, stats — is
-  // identical at any instruction boundary. Checked at three mid-run
-  // checkpoints (budget cuts land mid-block, exercising the threaded
-  // loop's pc/next_pc re-establishment) plus the final state.
-  auto run_checkpoints = [](isa::ExecTier tier) {
+  // Both tiers run the same handlers (DESIGN.md §15); the threaded
+  // tier's lowered line flags and tight loop must leave the full
+  // serialized SoC state — registers, clocks, caches, stats — identical
+  // to the reference loop's at any instruction boundary. Checked at
+  // three mid-run checkpoints (budget cuts land mid-block, exercising
+  // the threaded loop's pc/next_pc re-establishment) plus the final
+  // state. A profiled leg runs the same handlers inside the profiler
+  // brackets and must land on the same digests.
+  auto run_checkpoints = [](isa::ExecTier tier, bool profiled) {
+    if (profiled) profile::session().enable();
     core::SocConfig cfg;
     cfg.main_memory = core::MainMemoryKind::kDdr4;
     core::HulkVSoc soc(cfg);
@@ -141,15 +145,22 @@ TEST(Determinism, ThreadedTierDigestMatchesInterpAtCheckpoints) {
     }
     soc.host().run();
     digests[3] = soc.state_digest();
+    if (profiled) {
+      EXPECT_EQ(profile::session().check_conservation(), "");
+      EXPECT_NE(profile::session().find_core("cva6"), nullptr);
+      profile::session().reset();
+      profile::session().disable();
+    }
     return digests;
   };
-  EXPECT_EQ(run_checkpoints(isa::ExecTier::kInterp),
-            run_checkpoints(isa::ExecTier::kThreaded));
+  const auto threaded = run_checkpoints(isa::ExecTier::kThreaded, false);
+  EXPECT_EQ(run_checkpoints(isa::ExecTier::kInterp, false), threaded);
+  EXPECT_EQ(run_checkpoints(isa::ExecTier::kThreaded, true), threaded);
 }
 
 TEST(Determinism, TierDoesNotPerturbBenchStdout) {
   // Figure-bench output is byte-identical between execution tiers (the
-  // wider sweep over all figure benches runs in scripts/ci.sh).
+  // sweep over all seven figure/table benches runs in scripts/ci.sh).
   const std::string cmd = std::string(HULKV_BENCH_DIR) + "/fig8_llc_effect";
   const std::string interp = run_stdout(cmd + " --tier=interp");
   ASSERT_FALSE(interp.empty());

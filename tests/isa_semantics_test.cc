@@ -7,7 +7,9 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <ostream>
 
 #include "common/bitutil.hpp"
 #include "common/half.hpp"
@@ -28,6 +30,23 @@ core::SocConfig fast_config() {
   return cfg;
 }
 
+// gtest names each parameterised case after the bytes of its
+// GetParam(), and the default printer includes the padding after `op`,
+// which holds whatever was on the stack. Print the fields into a zeroed
+// buffer instead so the case names are the same on every run.
+template <typename Case>
+void print_zero_padded(const Case& c, std::ostream* os) {
+  unsigned char bytes[sizeof(Case)] = {};
+  const auto put = [&](size_t offset, const auto& field) {
+    std::memcpy(bytes + offset, &field, sizeof field);
+  };
+  put(offsetof(Case, op), c.op);
+  put(offsetof(Case, a), c.a);
+  put(offsetof(Case, b), c.b);
+  put(offsetof(Case, want), c.want);
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
+
 // ---------------------------------------------------------------------
 // Host (RV64) table-driven ALU semantics.
 // ---------------------------------------------------------------------
@@ -37,6 +56,10 @@ struct HostRCase {
   u64 a, b;
   u64 want;
 };
+
+void PrintTo(const HostRCase& c, std::ostream* os) {
+  print_zero_padded(c, os);
+}
 
 class HostROp : public ::testing::TestWithParam<HostRCase> {};
 
@@ -306,6 +329,10 @@ struct PmcaRCase {
   u32 a, b;
   u32 want;
 };
+
+void PrintTo(const PmcaRCase& c, std::ostream* os) {
+  print_zero_padded(c, os);
+}
 
 class PmcaROp : public ::testing::TestWithParam<PmcaRCase> {};
 

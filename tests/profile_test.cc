@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "batch/batch.hpp"
@@ -174,6 +175,8 @@ TEST_F(ProfileTest, RegisterSymbolsIsNoOpWhileDisabled) {
 }
 
 TEST_F(ProfileTest, ProfilingDoesNotPerturbTimingOrDigest) {
+  // A host program, then an offload across all eight cluster cores:
+  // both ISSs run their profiled loop against their unprofiled one.
   const auto run_workload = [](bool profiled) {
     if (profiled) profile::session().enable();
     core::SocConfig cfg;
@@ -184,17 +187,30 @@ TEST_F(ProfileTest, ProfilingDoesNotPerturbTimingOrDigest) {
         std::array<u64, 3>{core::layout::kSharedBase,
                            core::layout::kSharedBase + 4096,
                            core::layout::kSharedBase + 8192});
+    runtime::OffloadRuntime rt(&soc);
+    const auto kernel = kernels::cluster_axpy_f32(1024);
+    const Addr x = rt.hulk_malloc(4096), y = rt.hulk_malloc(4096);
+    const u32 x_l1 = static_cast<u32>(mem::map::kTcdmBase) + 0x100;
+    const auto handle =
+        rt.register_kernel(kernel.name, kernel.words, kernel.symbols);
+    const auto offload = rt.offload(
+        handle, std::array<u32, 5>{static_cast<u32>(x), static_cast<u32>(y),
+                                   0x3f800000u, x_l1, x_l1 + 4096});
     if (profiled) {
+      EXPECT_NE(profile::session().find_core("pmca_core7"), nullptr);
       profile::session().reset();
       profile::session().disable();
     }
-    return std::pair<Cycles, u64>(run.cycles, soc.state_digest());
+    return std::tuple<Cycles, Cycles, u64>(run.cycles, offload.kernel,
+                                           soc.state_digest());
   };
   const auto plain = run_workload(false);
   const auto profiled = run_workload(true);
   // The profiler is observational: identical cycles, identical digest.
-  EXPECT_EQ(plain.first, profiled.first);
-  EXPECT_EQ(plain.second, profiled.second);
+  EXPECT_EQ(std::get<0>(plain), std::get<0>(profiled));
+  EXPECT_GT(std::get<1>(plain), 0u);
+  EXPECT_EQ(std::get<1>(plain), std::get<1>(profiled));
+  EXPECT_EQ(std::get<2>(plain), std::get<2>(profiled));
 }
 
 TEST_F(ProfileTest, SnapshotRestoreDigestsMatchProfilingOnOrOff) {

@@ -499,6 +499,49 @@ TEST(ServeServer, InFlightQuotaRejectsDistinctly) {
   server.stop();
 }
 
+TEST(ServeServer, RefillAtQuotaNeverRejects) {
+  // A client keeping exactly client_quota requests in flight and sending
+  // the next one the moment a response lands must never be rejected:
+  // the quota slot frees before the response reaches the wire.
+  const std::string path = test_socket_path("refill");
+  const ServerConfig config = small_config(path);
+  Server server(config);
+  server.start();
+  {
+    Client client = Client::connect_unix(path);
+    // Cache hits answer in microseconds and the window a late release
+    // leaves (response written, slot still held) is narrow: releasing
+    // after the write lost this race 6 to 77 times in 20000 refills.
+    constexpr u64 kTotal = 20000;
+    u64 sent = 0;
+    const auto send_next = [&] {
+      Request req;
+      req.type = MsgType::kRun;
+      req.client_id = 11;
+      req.request_id = ++sent;
+      // Cached after the first round: responses land back to back.
+      req.point = {static_cast<u8>(sent % workload_count()), 1, 1};
+      client.send(req);
+    };
+    while (sent < config.client_quota) send_next();
+    u64 received = 0;
+    u64 rejects = 0;
+    Response resp;
+    while (received < kTotal && client.recv(&resp)) {
+      ++received;
+      if (resp.status == Status::kQuotaExceeded) {
+        ++rejects;
+      } else {
+        EXPECT_EQ(resp.status, Status::kOk);
+      }
+      if (sent < kTotal) send_next();
+    }
+    EXPECT_EQ(received, kTotal);
+    EXPECT_EQ(rejects, 0u);
+  }
+  server.stop();
+}
+
 TEST(ServeServer, QueueOverflowFastRejects) {
   const std::string path = test_socket_path("queue");
   ServerConfig config = small_config(path);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -101,6 +102,59 @@ TEST(Archive, LoaderThrowsOnTruncation) {
                                                    bytes.size());
   u64 v = 0;
   EXPECT_THROW(ar.pod(v), SimError);
+}
+
+/// Loader input holding a u64 length prefix of `len` and four payload
+/// bytes: what a corrupt or hostile snapshot section looks like.
+std::vector<u8> length_prefixed(u64 len) {
+  std::vector<u8> bytes(sizeof(u64) + 4, 0xAB);
+  std::memcpy(bytes.data(), &len, sizeof(len));
+  return bytes;
+}
+
+TEST(Archive, HugeLengthPrefixThrowsBeforeAllocating) {
+  // Sizing the container from the prefix before the bounds check would
+  // surface as std::bad_alloc / std::length_error, not SimError.
+  for (const u64 len : {u64{1} << 40, ~u64{0}}) {
+    const std::vector<u8> bytes = length_prefixed(len);
+    {
+      auto ar = snapshot::Archive::loader(bytes.data(), bytes.size());
+      std::string s;
+      EXPECT_THROW(ar.str(s), SimError) << len;
+      EXPECT_TRUE(s.empty());
+    }
+    {
+      auto ar = snapshot::Archive::loader(bytes.data(), bytes.size());
+      std::vector<u32> v;
+      EXPECT_THROW(ar.pod_vec(v), SimError) << len;
+      EXPECT_TRUE(v.empty());
+    }
+    {
+      auto ar = snapshot::Archive::loader(bytes.data(), bytes.size());
+      std::vector<bool> v;
+      EXPECT_THROW(ar.bool_vec(v), SimError) << len;
+      EXPECT_TRUE(v.empty());
+    }
+  }
+}
+
+TEST(Archive, ElementCountTimesSizeOverflowIsRejected) {
+  // (2^62 + 1) * sizeof(u32) wraps to 4 bytes — exactly what is left.
+  const std::vector<u8> bytes = length_prefixed((u64{1} << 62) + 1);
+  auto ar = snapshot::Archive::loader(bytes.data(), bytes.size());
+  std::vector<u32> v;
+  EXPECT_THROW(ar.pod_vec(v), SimError);
+  EXPECT_TRUE(v.empty());
+}
+
+TEST(Archive, RawByteLengthCannotWrapTheBoundsCheck) {
+  const std::vector<u8> bytes = length_prefixed(0);
+  auto ar = snapshot::Archive::loader(bytes.data(), bytes.size());
+  u64 prefix = 1;
+  ar.pod(prefix);  // in_pos_ = 8: in_pos_ + (2^64 - 1) wraps to 7
+  u8 dst[4] = {};
+  EXPECT_THROW(ar.bytes(dst, ~u64{0}), SimError);
+  EXPECT_EQ(ar.remaining(), 4u);
 }
 
 TEST(Archive, HashDistinguishesValues) {

@@ -1,15 +1,18 @@
-// Threaded execution tier (DESIGN.md §15):
+// Threaded handlers as the one instruction semantics (DESIGN.md §15):
 //  * handler-table coverage — every encodable op resolves to a handler
-//    on at least one ISS or is a deliberate deopt point,
-//  * deopt-on-invalidation round-trip — translate, guest SMC, ranged
+//    on at least one ISS or is a deliberate exec_slow() op,
+//  * invalidation round-trip — translate, guest SMC, ranged
 //    invalidate, re-lower — never executes a stale lowering,
-//  * mid-block deopt at an ecall hands over to the interpreter at the
-//    exact pc/instret/cycle and resumes after it,
+//  * a mid-block ecall retires through exec_slow() at the same
+//    pc/instret/cycle on both tiers and execution resumes after it,
+//  * an op outside a core's ISA faults with the same SimError (mnemonic
+//    and pc) on both tiers,
 //  * tier selection never changes architectural results or timing
 //    (the broad byte-equal gates live in determinism_test; these are
 //    the targeted unit-level checks).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,8 +38,8 @@ core::SocConfig fast_config() {
 }
 
 /// Ops that neither ISS lowers on purpose: they transfer control to an
-/// environment (syscall/debug/sleep) whose handlers live behind the
-/// interpreter's exec() path on both cores.
+/// environment (syscall/debug/sleep) whose handlers live behind each
+/// core's exec_slow().
 bool deliberate_deopt_everywhere(Op op) {
   return op == Op::kEcall || op == Op::kEbreak || op == Op::kWfi;
 }
@@ -52,7 +55,7 @@ TEST(ThreadedTable, EveryEncodableOpResolvesSomewhere) {
     EXPECT_TRUE(host_has || pmca_has || deliberate_deopt_everywhere(enc.op))
         << "op " << static_cast<int>(enc.op)
         << " has no threaded handler on either ISS and is not a "
-           "deliberate deopt point";
+           "deliberate exec_slow() op";
   }
 }
 
@@ -86,7 +89,7 @@ TEST(ThreadedTable, StaticCyclesMatchConfiguredLatencies) {
   EXPECT_EQ(
       cluster::threaded_resolve(Op::kPvSdotspBMem, pmca_cfg).static_cycles,
       1u);
-  // RV64-only ops are host-side handlers and cluster deopt points.
+  // RV64-only ops are host-side handlers and cluster exec_slow() faults.
   EXPECT_EQ(cluster::threaded_resolve(Op::kLd, pmca_cfg).fn, nullptr);
   EXPECT_NE(host::threaded_resolve(Op::kLd, host_cfg).fn, nullptr);
 }
@@ -133,9 +136,9 @@ TEST(ThreadedDeopt, InvalidationRoundTripRelowersBlock) {
 }
 
 TEST(ThreadedDeopt, MidBlockEcallResumesAtExactPcInstretCycle) {
-  // An ecall in a loop body: the threaded tier must hand over to the
-  // interpreter at the ecall's pc with the instret/cycle the
-  // interpreter would have there, then resume threaded after it.
+  // An ecall in a loop body: both tiers retire it through exec_slow()
+  // at the ecall's pc with the same instret/cycle, then resume after
+  // it.
   struct Obs {
     std::vector<std::pair<Addr, std::pair<u64, Cycles>>> at_ecall;
     u64 exit_code = 0;
@@ -193,6 +196,65 @@ TEST(ThreadedDeopt, MidBlockEcallResumesAtExactPcInstretCycle) {
   EXPECT_EQ(threaded.instret, interp.instret);
   EXPECT_EQ(threaded.cycles, interp.cycles);
   EXPECT_EQ(threaded.a0, interp.a0);
+}
+
+TEST(ThreadedTier, CrossIsaOpsFaultIdenticallyOnBothTiers) {
+  // An op outside a core's ISA has no handler there: both tiers fault
+  // through exec_slow() with the op's mnemonic and its exact pc, even
+  // mid-block (such ops do not end a decoded block).
+  const auto host_fault = [](isa::ExecTier tier) {
+    core::HulkVSoc soc(fast_config());
+    soc.host().set_tier(tier);
+    Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
+    a.addi(t0, zero, 5);
+    a.rr(Op::kPMac, t1, t0, t0);  // Xpulp: PMCA-only
+    a.addi(t1, t1, 1);
+    a.li(a7, 93);
+    a.ecall();
+    soc.load_program(core::layout::kHostCodeBase, a.assemble());
+    soc.host().set_pc(core::layout::kHostCodeBase);
+    std::string what;
+    try {
+      soc.host().run();
+    } catch (const SimError& e) {
+      what = e.what();
+    }
+    return what;
+  };
+  const std::string host_expected =
+      "CVA6 cannot execute '" + std::string(isa::mnemonic(Op::kPMac)) +
+      "' at pc=0x" + std::to_string(core::layout::kHostCodeBase + 4) +
+      " (Xpulp extensions are PMCA-only)";
+  EXPECT_EQ(host_fault(isa::ExecTier::kInterp), host_expected);
+  EXPECT_EQ(host_fault(isa::ExecTier::kThreaded), host_expected);
+
+  const auto pmca_fault = [](isa::ExecTier tier) {
+    core::HulkVSoc soc(fast_config());
+    for (u32 c = 0; c < soc.cluster().num_cores(); ++c) {
+      soc.cluster().core(c).set_tier(tier);
+    }
+    Assembler a(0, /*rv64=*/false);
+    a.addi(t0, zero, 1);
+    a.addi(t1, zero, 2);
+    a.ld(t2, 0, sp);  // RV64: host-only
+    a.addi(t2, t2, 1);
+    a.li(a7, cluster::envcall::kExit);
+    a.ecall();
+    soc.load_program(mem::map::kL2Base, a.assemble());
+    std::string what;
+    try {
+      soc.cluster().run_kernel(0, mem::map::kL2Base, 0);
+    } catch (const SimError& e) {
+      what = e.what();
+    }
+    return what;
+  };
+  const std::string pmca_expected =
+      "PMCA cannot execute '" + std::string(isa::mnemonic(Op::kLd)) +
+      "' at pc=0x" + std::to_string(mem::map::kL2Base + 8) +
+      " (RV64/D instructions are host-only)";
+  EXPECT_EQ(pmca_fault(isa::ExecTier::kInterp), pmca_expected);
+  EXPECT_EQ(pmca_fault(isa::ExecTier::kThreaded), pmca_expected);
 }
 
 TEST(ThreadedTier, BoundedRunsRetireTheExactBudget) {
