@@ -25,6 +25,7 @@
 #include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/trace.hpp"
 #include "runtime/offload.hpp"
 #include "power/power_model.hpp"
 
@@ -299,6 +300,7 @@ int main(int argc, char** argv) {
   isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);
+  trace::configure(options);
 
   report::MetricsReport rep("ablation_memsys");
   rep.add_note("HULK-V design-choice ablations");
@@ -314,5 +316,6 @@ int main(int argc, char** argv) {
   profile::finish_bench(rep, options);
   report::finish_bench(rep, options);
   telemetry::finish_bench(rep, options);
+  trace::finish_bench(options);
   return 0;
 }

@@ -23,7 +23,6 @@
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
 #include "runtime/offload.hpp"
-#include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -296,7 +295,7 @@ int main(int argc, char** argv) {
   isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);
-  if (!options.trace_path.empty()) trace::sink().enable();
+  trace::configure(options);
 
   report::MetricsReport rep("fig6_speedup");
   rep.add_note("Fig. 6 — PMCA vs CVA6 speedup and energy efficiency. "
@@ -337,8 +336,6 @@ int main(int argc, char** argv) {
   profile::finish_bench(rep, options);
   report::finish_bench(rep, options);
   telemetry::finish_bench(rep, options);
-  if (!options.trace_path.empty()) {
-    trace::write_chrome_trace_file(options.trace_path, trace::sink());
-  }
+  trace::finish_bench(options);
   return 0;
 }

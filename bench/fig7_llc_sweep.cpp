@@ -30,6 +30,7 @@
 #include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -104,6 +105,7 @@ int main(int argc, char** argv) {
   isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);
+  trace::configure(options);
 
   report::MetricsReport rep("fig7_llc_sweep");
   rep.add_note("Fig. 7 — Sweep on Last Level Cache (synthetic benchmark). "
@@ -166,5 +168,6 @@ int main(int argc, char** argv) {
   profile::finish_bench(rep, options);
   report::finish_bench(rep, options);
   telemetry::finish_bench(rep, options);
+  trace::finish_bench(options);
   return 0;
 }

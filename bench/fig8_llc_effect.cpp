@@ -19,6 +19,7 @@
 #include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -131,6 +132,7 @@ int main(int argc, char** argv) {
   isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);
+  trace::configure(options);
 
   report::MetricsReport rep("fig8_llc_effect");
   rep.add_note("Fig. 8 — Last Level Cache effect on IoT benchmarks. "
@@ -174,5 +176,6 @@ int main(int argc, char** argv) {
   profile::finish_bench(rep, options);
   report::finish_bench(rep, options);
   telemetry::finish_bench(rep, options);
+  trace::finish_bench(options);
   return 0;
 }

@@ -26,6 +26,7 @@
 #include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -158,6 +159,7 @@ int main(int argc, char** argv) {
   isa::configure_tier(options);
   profile::configure(options);
   telemetry::configure(options);
+  trace::configure(options);
 
   report::MetricsReport rep("fig9_energy_eff");
   rep.add_note("Fig. 9 — HULK-V energy efficiency vs CCR_hyper (HyperRAM "
@@ -244,5 +246,6 @@ int main(int argc, char** argv) {
   profile::finish_bench(rep, options);
   report::finish_bench(rep, options);
   telemetry::finish_bench(rep, options);
+  trace::finish_bench(options);
   return 0;
 }

@@ -4,6 +4,7 @@
 #include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/trace.hpp"
 
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
@@ -12,6 +13,7 @@ int main(int argc, char** argv) {
   hulkv::isa::configure_tier(options);
   hulkv::profile::configure(options);
   hulkv::telemetry::configure(options);
+  hulkv::trace::configure(options);
 
   report::MetricsReport rep("table1_comparison");
   rep.add_note("Table I — comparison with the state of the art");
@@ -40,5 +42,6 @@ int main(int argc, char** argv) {
   hulkv::profile::finish_bench(rep, options);
   report::finish_bench(rep, options);
   hulkv::telemetry::finish_bench(rep, options);
+  hulkv::trace::finish_bench(options);
   return 0;
 }

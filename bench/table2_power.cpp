@@ -5,6 +5,7 @@
 #include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/trace.hpp"
 
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
@@ -13,6 +14,7 @@ int main(int argc, char** argv) {
   hulkv::isa::configure_tier(options);
   hulkv::profile::configure(options);
   hulkv::telemetry::configure(options);
+  hulkv::trace::configure(options);
   const power::PowerModel model;
 
   report::MetricsReport rep("table2_power");
@@ -62,5 +64,6 @@ int main(int argc, char** argv) {
   hulkv::profile::finish_bench(rep, options);
   report::finish_bench(rep, options);
   hulkv::telemetry::finish_bench(rep, options);
+  hulkv::trace::finish_bench(options);
   return 0;
 }

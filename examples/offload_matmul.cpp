@@ -13,7 +13,6 @@
 #include "kernels/host_kernels.hpp"
 #include "report/report.hpp"
 #include "runtime/offload.hpp"
-#include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
 
 using namespace hulkv;
@@ -22,7 +21,7 @@ int main(int argc, char** argv) {
   // `--trace out.json` records the full SoC event trace and writes a
   // Perfetto/Chrome-loadable file (chrome://tracing or ui.perfetto.dev).
   const report::BenchOptions options = report::parse_bench_args(argc, argv);
-  if (!options.trace_path.empty()) trace::sink().enable();
+  trace::configure(options);
 
   const u32 m = 48, n = 48, k = 64;
   core::HulkVSoc soc;  // HyperRAM + LLC
@@ -97,9 +96,9 @@ int main(int argc, char** argv) {
   }
   std::printf("verification: PMCA result == CVA6 result == golden model\n");
 
+  trace::finish_bench(options);
   if (!options.trace_path.empty()) {
-    auto& sink = trace::sink();
-    trace::write_chrome_trace_file(options.trace_path, sink);
+    const auto& sink = trace::sink();
     std::printf("trace: %zu events on %zu tracks -> %s "
                 "(open in chrome://tracing or ui.perfetto.dev)\n",
                 sink.events().size(), sink.track_names().size(),

@@ -46,7 +46,12 @@ done
 #    it) has exactly one typed indirect-call site (the reinterpret_cast
 #    back from AnyFn) — handlers are never invoked from anywhere else;
 #  * the 32-byte ThreadedInstr size assert stays in place (two entries
-#    per cache line is part of the tier's perf contract).
+#    per cache line is part of the tier's perf contract);
+#  * an op the shared RV base covers (src/isa/rv_ops.hpp) has exactly
+#    one handler body: the ops resolve_base() maps, plus those a core
+#    maps to a Base handler (&B::) for its own latency, never resolve
+#    to a core's own handler (&H::), and no core re-defines a handler
+#    under a Base name.
 echo "== threaded handler-table checks =="
 tier_status=0
 for f in "$repo_root/src/host/cva6.cpp" "$repo_root/src/cluster/pmca_core.cpp"; do
@@ -71,6 +76,36 @@ if ! grep -q 'static_assert(sizeof(ThreadedInstr) == 32' \
        "size assert" >&2
   tier_status=1
 fi
+rv_ops="$repo_root/src/isa/rv_ops.hpp"
+core_srcs=("$repo_root/src/host/cva6.cpp"
+           "$repo_root/src/cluster/pmca_core.cpp")
+case_op='s/^ *case Op::\(k[A-Za-z0-9]*\): return [a-z]*'
+shared_ops="$(
+  { sed -n "$case_op<Core>(&B::.*/\\1/p" "$rv_ops"
+    sed -n "$case_op(&B::.*/\\1/p" "${core_srcs[@]}"; } | sort -u)"
+shared_names="$(
+  sed -n 's/^  static void \([a-z_0-9]*\)(Core&.*/\1/p' "$rv_ops" | sort -u)"
+if [ "$(echo "$shared_ops" | wc -w)" -lt 47 ] ||
+    [ "$(echo "$shared_names" | wc -w)" -lt 47 ]; then
+  echo "lint: $rv_ops: could not read the shared op/handler lists" >&2
+  tier_status=1
+fi
+for f in "${core_srcs[@]}"; do
+  for op in $shared_ops; do
+    if grep -q "case Op::$op: return [a-z]*(&H::" "$f"; then
+      echo "lint: $f: $op has a shared handler in isa/rv_ops.hpp but" \
+           "resolves to a per-core one" >&2
+      tier_status=1
+    fi
+  done
+  for name in $shared_names; do
+    if grep -q "^  static void $name(" "$f"; then
+      echo "lint: $f: defines handler '$name', which isa/rv_ops.hpp" \
+           "already implements" >&2
+      tier_status=1
+    fi
+  done
+done
 if [ "$tier_status" -ne 0 ]; then
   echo "lint: FAILED (threaded handler-table checks)"
   exit 1

@@ -18,9 +18,6 @@ namespace hulkv::batch {
 
 namespace {
 
-/// Stats of the most recent run_jobs() (orchestration-thread owned).
-SweepStats g_last_stats;  // NOLINT(cert-err58-cpp)
-
 /// Read-only istream over a byte span (no copy — the snapshot blob is
 /// shared by every concurrent restore).
 class SpanBuf : public std::streambuf {
@@ -50,36 +47,13 @@ double SweepStats::utilization() const {
          (static_cast<double>(wall_ns) * workers);
 }
 
-void SweepStats::add_to(report::MetricsReport& rep,
-                        const std::string& prefix) const {
-  rep.add_metric(prefix + "jobs", report::Value::uinteger(jobs));
-  rep.add_metric(prefix + "workers", report::Value::uinteger(workers));
-  rep.add_metric(prefix + "wall_s",
-                 report::Value::number(wall_seconds(), 4), "s");
-  rep.add_metric(prefix + "jobs_per_s",
-                 report::Value::number(jobs_per_s(), 2), "jobs/s");
-  rep.add_metric(prefix + "latency_p50",
-                 report::Value::uinteger(latency.percentile(50)), "ns");
-  rep.add_metric(prefix + "latency_p90",
-                 report::Value::uinteger(latency.percentile(90)), "ns");
-  rep.add_metric(prefix + "latency_p99",
-                 report::Value::uinteger(latency.percentile(99)), "ns");
-  rep.add_metric(prefix + "latency_mean",
-                 report::Value::number(latency.mean(), 1), "ns");
-  rep.add_metric(prefix + "utilization",
-                 report::Value::number(utilization(), 4));
-  rep.add_metric(prefix + "max_in_flight",
-                 report::Value::uinteger(max_in_flight));
-}
-
-const SweepStats& last_sweep_stats() { return g_last_stats; }
-
 namespace {
 
-/// Finalize per-job measurements into g_last_stats and, when telemetry
-/// is collecting, hand the summary to the registry for the manifest.
-void finish_sweep_stats(SweepStats stats, const std::vector<u64>& durations,
-                        std::vector<u64> in_flight, u64 start_ns) {
+/// Finalize per-job measurements and, when telemetry is collecting,
+/// hand the summary to the registry for the manifest.
+SweepStats finish_sweep_stats(SweepStats stats,
+                              const std::vector<u64>& durations,
+                              std::vector<u64> in_flight, u64 start_ns) {
   stats.wall_ns = telemetry::now_ns() - start_ns;
   for (const u64 d : durations) {
     stats.latency.record(d);
@@ -102,16 +76,14 @@ void finish_sweep_stats(SweepStats stats, const std::vector<u64>& durations,
     summary.utilization = stats.utilization();
     telemetry::registry().note_sweep(summary);
   }
-  g_last_stats = std::move(stats);
+  return stats;
 }
 
 }  // namespace
 
-void run_jobs(u64 count, u32 workers, const std::function<void(u64)>& job) {
-  if (count == 0) {
-    g_last_stats = {};
-    return;
-  }
+SweepStats run_jobs(u64 count, u32 workers,
+                    const std::function<void(u64)>& job) {
+  if (count == 0) return {};
   if (workers == 0) workers = default_jobs();
   if (workers > count) workers = static_cast<u32>(count);
 
@@ -136,9 +108,8 @@ void run_jobs(u64 count, u32 workers, const std::function<void(u64)>& job) {
       }
       durations[i] = telemetry::now_ns() - job_start;
     }
-    finish_sweep_stats(std::move(stats), durations, std::move(in_flight),
-                       start_ns);
-    return;
+    return finish_sweep_stats(std::move(stats), durations,
+                              std::move(in_flight), start_ns);
   }
 
   HULKV_CHECK(!trace::enabled(),
@@ -182,8 +153,8 @@ void run_jobs(u64 count, u32 workers, const std::function<void(u64)>& job) {
   }
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-  finish_sweep_stats(std::move(stats), durations, std::move(in_flight),
-                     start_ns);
+  return finish_sweep_stats(std::move(stats), durations,
+                            std::move(in_flight), start_ns);
 }
 
 SocSnapshot SocSnapshot::capture(
@@ -235,13 +206,6 @@ report::MetricsReport SweepEngine::map_reports(
                                            report::MetricsReport(""));
   run_jobs(count, workers_, [&](u64 index) { parts[index] = fn(index); });
   return merge_reports(name, parts);
-}
-
-report::MetricsReport SweepEngine::stats_report(
-    const std::string& name) const {
-  report::MetricsReport rep(name);
-  last_stats().add_to(rep, "sweep.");
-  return rep;
 }
 
 }  // namespace hulkv::batch

@@ -61,23 +61,18 @@ struct SweepStats {
   /// busy / (wall * workers): 1.0 = every worker ran jobs the whole
   /// drain; low values mean workers starved on an uneven grid.
   double utilization() const;
-
-  /// Append jobs/s, p50/p90/p99 latency, utilization and queue-depth
-  /// metrics (keys prefixed with `prefix`) to a report.
-  void add_to(report::MetricsReport& rep, const std::string& prefix) const;
 };
-
-/// Stats of the most recent run_jobs() call. Owned by the (single)
-/// orchestration thread that calls run_jobs; valid until the next call.
-const SweepStats& last_sweep_stats();
 
 /// Run `count` jobs — job(0) .. job(count-1), each exactly once — on
 /// `workers` threads (0 = default_jobs()). Jobs are handed out from a
 /// shared atomic queue; with an effective worker count of 1 they run
 /// inline on the calling thread in index order. The first exception
-/// thrown by a job is rethrown here after the pool drains.
+/// thrown by a job is rethrown here after the pool drains. Returns the
+/// drain's stats (empty for count == 0); when telemetry is collecting,
+/// their summary also goes to the registry for the run manifest.
 /// Throws SimError when workers > 1 while tracing is enabled.
-void run_jobs(u64 count, u32 workers, const std::function<void(u64)>& job);
+SweepStats run_jobs(u64 count, u32 workers,
+                    const std::function<void(u64)>& job);
 
 /// An in-memory SoC checkpoint (the same container format Soc::save
 /// writes to disk). Immutable once captured — any number of workers may
@@ -125,17 +120,6 @@ class SweepEngine {
       : workers_(workers == 0 ? default_jobs() : workers) {}
 
   u32 workers() const { return workers_; }
-
-  /// Host-side stats of the engine's most recent map/map_forked/
-  /// map_reports drain: jobs/s, per-job latency percentiles, worker
-  /// utilization (see SweepStats).
-  const SweepStats& last_stats() const { return last_sweep_stats(); }
-
-  /// `last_stats()` rendered as a MetricsReport ("sweep.jobs_per_s",
-  /// "sweep.p50_ns", ...) for tools and tests. Not printed by the
-  /// figure benches: their stdout is byte-identical at any worker
-  /// count, and these numbers are host wall-clock, not simulation.
-  report::MetricsReport stats_report(const std::string& name) const;
 
   /// Run fn(0) .. fn(count-1) on the pool; results land in index order.
   /// Each fn builds its own SoC (grid sweeps vary the SocConfig, so the

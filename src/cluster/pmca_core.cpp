@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #include "common/bitutil.hpp"
 #include "common/half.hpp"
 #include "common/log.hpp"
 #include "isa/disasm.hpp"
+#include "isa/rv_ops.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace hulkv::cluster {
@@ -207,16 +207,21 @@ void PmcaCore::apply_hwloops() {
 //
 // One static handler per PMCA op, `void(PmcaCore&, const
 // ThreadedInstr&)` — the only per-op implementation; exec_slow() covers
-// the few ops without one. Same ABI as the host table: when a handler
-// runs, `cycle_` already includes the static cost (1-cycle issue +
-// fixed latency folded into ThreadedInstr::cyc), `issue_cycle_` holds
-// the pre-issue cycle, `next_pc_` is the sequential successor and
+// the few ops without one. The RV32 base (integer, M, F-single, control
+// and memory) is isa::rv::Base, shared with the host; ThreadedPmca
+// supplies its policy (taken-branch penalty, next_pc_ target, the LSU
+// at issue_cycle_) and the PMCA's own ops: CSRs, Xpulp, fmadd/fmsub
+// (they count MACs) and packed FP16. Same ABI as the host table: when a
+// handler runs, `cycle_` already includes the static cost (1-cycle
+// issue + fixed latency folded into ThreadedInstr::cyc), `issue_cycle_`
+// holds the pre-issue cycle, `next_pc_` is the sequential successor and
 // `pc_ == t.pc`. Handlers perform every dynamic-cost and stat-counter
 // side effect; control ops write `next_pc_` (the dispatch loop applies
 // hardware loops and commits `pc_ = next_pc_` per retire).
 struct ThreadedPmca {
   using TI = isa::threaded::ThreadedInstr;
 
+  // ---- the isa::rv::Base policy ----
   static void branch(PmcaCore& c, const TI& t, bool taken) {
     if (taken) {
       c.next_pc_ = t.pc + t.imm;
@@ -224,68 +229,29 @@ struct ThreadedPmca {
       c.ctr_taken_branches_ += 1;
     }
   }
-
-  static void lui(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u32>(t.imm));
+  static void jump(PmcaCore& c, Addr target) { c.next_pc_ = target; }
+  static u32 load(PmcaCore& c, Addr addr, u32 bytes, bool sign) {
+    return c.load(addr, bytes, sign, c.issue_cycle_);
   }
-  static void auipc(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u32>(t.pc) + static_cast<u32>(t.imm));
-  }
-  static void jal(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u32>(t.pc) + 4);
-    c.next_pc_ = t.pc + t.imm;
-  }
-  static void jalr(PmcaCore& c, const TI& t) {
-    const u32 target = (c.x_[t.rs1] + t.imm) & ~1u;
-    c.set_reg(t.rd, static_cast<u32>(t.pc) + 4);
-    c.next_pc_ = target;
-  }
-  static void beq(PmcaCore& c, const TI& t) {
-    branch(c, t, c.x_[t.rs1] == c.x_[t.rs2]);
-  }
-  static void bne(PmcaCore& c, const TI& t) {
-    branch(c, t, c.x_[t.rs1] != c.x_[t.rs2]);
-  }
-  static void blt(PmcaCore& c, const TI& t) {
-    branch(c, t,
-           static_cast<i32>(c.x_[t.rs1]) < static_cast<i32>(c.x_[t.rs2]));
-  }
-  static void bge(PmcaCore& c, const TI& t) {
-    branch(c, t,
-           static_cast<i32>(c.x_[t.rs1]) >= static_cast<i32>(c.x_[t.rs2]));
-  }
-  static void bltu(PmcaCore& c, const TI& t) {
-    branch(c, t, c.x_[t.rs1] < c.x_[t.rs2]);
-  }
-  static void bgeu(PmcaCore& c, const TI& t) {
-    branch(c, t, c.x_[t.rs1] >= c.x_[t.rs2]);
+  static void store(PmcaCore& c, Addr addr, u32 value, u32 bytes) {
+    c.store(addr, value, bytes, c.issue_cycle_);
   }
 
-  static void lb(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 1, true, c.issue_cycle_));
-  }
-  static void lh(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 2, true, c.issue_cycle_));
-  }
-  static void lw(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 4, false, c.issue_cycle_));
-  }
-  static void lbu(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 1, false, c.issue_cycle_));
-  }
-  static void lhu(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 2, false, c.issue_cycle_));
-  }
-  static void sb(PmcaCore& c, const TI& t) {
-    c.store(c.x_[t.rs1] + t.imm, c.x_[t.rs2], 1, c.issue_cycle_);
-  }
-  static void sh(PmcaCore& c, const TI& t) {
-    c.store(c.x_[t.rs1] + t.imm, c.x_[t.rs2], 2, c.issue_cycle_);
-  }
-  static void sw(PmcaCore& c, const TI& t) {
-    c.store(c.x_[t.rs1] + t.imm, c.x_[t.rs2], 4, c.issue_cycle_);
+  static void csr(PmcaCore& c, const TI& t) {
+    const u16 addr = static_cast<u16>(t.imm);
+    u32 value = 0;
+    if (addr == isa::csr::kMhartid) {
+      value = c.config_.core_id;
+    } else if (addr == isa::csr::kCycle || addr == isa::csr::kMcycle) {
+      value = static_cast<u32>(c.cycle_);
+    } else if (addr == isa::csr::kInstret || addr == isa::csr::kMinstret) {
+      value = static_cast<u32>(c.instret_);
+    }
+    c.set_reg(t.rd, value);
   }
 
+
+  // ---- Xpulp ----
   static void plb(PmcaCore& c, const TI& t) {
     const u32 rs1 = c.x_[t.rs1];
     c.set_reg(t.rd, c.load(rs1, 1, true, c.issue_cycle_));
@@ -327,136 +293,6 @@ struct ThreadedPmca {
     c.set_reg(t.rs1, rs1 + t.imm);
   }
 
-  static void addi(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] + t.imm);
-  }
-  static void slti(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<i32>(c.x_[t.rs1]) < t.imm ? 1 : 0);
-  }
-  static void sltiu(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] < static_cast<u32>(t.imm) ? 1 : 0);
-  }
-  static void xori(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] ^ static_cast<u32>(t.imm));
-  }
-  static void ori(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] | static_cast<u32>(t.imm));
-  }
-  static void andi(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] & static_cast<u32>(t.imm));
-  }
-  static void slli(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] << (t.imm & 31));
-  }
-  static void srli(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] >> (t.imm & 31));
-  }
-  static void srai(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u32>(static_cast<i32>(c.x_[t.rs1]) >>
-                                     (t.imm & 31)));
-  }
-  static void add(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] + c.x_[t.rs2]);
-  }
-  static void sub(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] - c.x_[t.rs2]);
-  }
-  static void sll(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] << (c.x_[t.rs2] & 31));
-  }
-  static void slt(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<i32>(c.x_[t.rs1]) <
-                            static_cast<i32>(c.x_[t.rs2])
-                        ? 1
-                        : 0);
-  }
-  static void sltu(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] < c.x_[t.rs2] ? 1 : 0);
-  }
-  static void xor_(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] ^ c.x_[t.rs2]);
-  }
-  static void srl(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] >> (c.x_[t.rs2] & 31));
-  }
-  static void sra(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u32>(static_cast<i32>(c.x_[t.rs1]) >>
-                                     (c.x_[t.rs2] & 31)));
-  }
-  static void or_(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] | c.x_[t.rs2]);
-  }
-  static void and_(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] & c.x_[t.rs2]);
-  }
-
-  static void mul(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] * c.x_[t.rs2]);
-  }
-  static void mulh(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u32>(
-                        (static_cast<i64>(static_cast<i32>(c.x_[t.rs1])) *
-                         static_cast<i64>(static_cast<i32>(c.x_[t.rs2])))
-                        >> 32));
-  }
-  static void mulhsu(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u32>(
-                        (static_cast<i64>(static_cast<i32>(c.x_[t.rs1])) *
-                         static_cast<i64>(static_cast<u64>(c.x_[t.rs2])))
-                        >> 32));
-  }
-  static void mulhu(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u32>((static_cast<u64>(c.x_[t.rs1]) *
-                                      static_cast<u64>(c.x_[t.rs2])) >> 32));
-  }
-  static void div(PmcaCore& c, const TI& t) {
-    const i32 a = static_cast<i32>(c.x_[t.rs1]);
-    const i32 b = static_cast<i32>(c.x_[t.rs2]);
-    i32 r;
-    if (b == 0) {
-      r = -1;
-    } else if (a == std::numeric_limits<i32>::min() && b == -1) {
-      r = a;
-    } else {
-      r = a / b;
-    }
-    c.set_reg(t.rd, static_cast<u32>(r));
-  }
-  static void divu(PmcaCore& c, const TI& t) {
-    const u32 b = c.x_[t.rs2];
-    c.set_reg(t.rd, b == 0 ? ~0u : c.x_[t.rs1] / b);
-  }
-  static void rem(PmcaCore& c, const TI& t) {
-    const i32 a = static_cast<i32>(c.x_[t.rs1]);
-    const i32 b = static_cast<i32>(c.x_[t.rs2]);
-    i32 r;
-    if (b == 0) {
-      r = a;
-    } else if (a == std::numeric_limits<i32>::min() && b == -1) {
-      r = 0;
-    } else {
-      r = a % b;
-    }
-    c.set_reg(t.rd, static_cast<u32>(r));
-  }
-  static void remu(PmcaCore& c, const TI& t) {
-    const u32 b = c.x_[t.rs2];
-    c.set_reg(t.rd, b == 0 ? c.x_[t.rs1] : c.x_[t.rs1] % b);
-  }
-
-  static void fence(PmcaCore&, const TI&) {}
-  static void csr(PmcaCore& c, const TI& t) {
-    const u16 addr = static_cast<u16>(t.imm);
-    u32 value = 0;
-    if (addr == isa::csr::kMhartid) {
-      value = c.config_.core_id;
-    } else if (addr == isa::csr::kCycle || addr == isa::csr::kMcycle) {
-      value = static_cast<u32>(c.cycle_);
-    } else if (addr == isa::csr::kInstret || addr == isa::csr::kMinstret) {
-      value = static_cast<u32>(c.instret_);
-    }
-    c.set_reg(t.rd, value);
-  }
 
   static void lp_starti(PmcaCore& c, const TI& t) {
     c.loops_[t.rd & 1].start = t.pc + t.imm;
@@ -617,27 +453,7 @@ struct ThreadedPmca {
     c.ctr_mac_ops_ += 2;
   }
 
-  static void flw(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd, c.load(c.x_[t.rs1] + t.imm, 4, false, c.issue_cycle_));
-  }
-  static void fsw(PmcaCore& c, const TI& t) {
-    c.store(c.x_[t.rs1] + t.imm, c.f_[t.rs2], 4, c.issue_cycle_);
-  }
-  static void fadds(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd, raw32(f32(c.f_[t.rs1]) + f32(c.f_[t.rs2])));
-  }
-  static void fsubs(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd, raw32(f32(c.f_[t.rs1]) - f32(c.f_[t.rs2])));
-  }
-  static void fmuls(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd, raw32(f32(c.f_[t.rs1]) * f32(c.f_[t.rs2])));
-  }
-  static void fdivs(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd, raw32(f32(c.f_[t.rs1]) / f32(c.f_[t.rs2])));
-  }
-  static void fsqrts(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd, raw32(std::sqrt(f32(c.f_[t.rs1]))));
-  }
+  // ---- F (single) beyond the shared base: MACs are counted ----
   static void fmadds(PmcaCore& c, const TI& t) {
     c.set_freg(t.rd, raw32(std::fma(f32(c.f_[t.rs1]), f32(c.f_[t.rs2]),
                                     f32(c.f_[t.rs3]))));
@@ -647,56 +463,6 @@ struct ThreadedPmca {
     c.set_freg(t.rd, raw32(std::fma(f32(c.f_[t.rs1]), f32(c.f_[t.rs2]),
                                     -f32(c.f_[t.rs3]))));
     c.ctr_mac_ops_ += 1;
-  }
-  static void fsgnjs(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd,
-               (c.f_[t.rs1] & 0x7FFFFFFFu) | (c.f_[t.rs2] & 0x80000000u));
-  }
-  static void fsgnjns(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd,
-               (c.f_[t.rs1] & 0x7FFFFFFFu) | (~c.f_[t.rs2] & 0x80000000u));
-  }
-  static void fsgnjxs(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd, c.f_[t.rs1] ^ (c.f_[t.rs2] & 0x80000000u));
-  }
-  static void fmins(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd, raw32(std::fmin(f32(c.f_[t.rs1]), f32(c.f_[t.rs2]))));
-  }
-  static void fmaxs(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd, raw32(std::fmax(f32(c.f_[t.rs1]), f32(c.f_[t.rs2]))));
-  }
-  static void feqs(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, f32(c.f_[t.rs1]) == f32(c.f_[t.rs2]) ? 1 : 0);
-  }
-  static void flts(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, f32(c.f_[t.rs1]) < f32(c.f_[t.rs2]) ? 1 : 0);
-  }
-  static void fles(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, f32(c.f_[t.rs1]) <= f32(c.f_[t.rs2]) ? 1 : 0);
-  }
-  static void fcvtws(PmcaCore& c, const TI& t) {
-    const float v = f32(c.f_[t.rs1]);
-    i32 r;
-    if (std::isnan(v)) {
-      r = std::numeric_limits<i32>::max();
-    } else if (v >= 2147483647.0f) {
-      r = std::numeric_limits<i32>::max();
-    } else if (v <= -2147483648.0f) {
-      r = std::numeric_limits<i32>::min();
-    } else {
-      r = static_cast<i32>(std::nearbyintf(v));
-    }
-    c.set_reg(t.rd, static_cast<u32>(r));
-  }
-  static void fcvtsw(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd,
-               raw32(static_cast<float>(static_cast<i32>(c.x_[t.rs1]))));
-  }
-  static void fmvxw(PmcaCore& c, const TI& t) {
-    c.set_reg(t.rd, c.f_[t.rs1]);
-  }
-  static void fmvwx(PmcaCore& c, const TI& t) {
-    c.set_freg(t.rd, c.x_[t.rs1]);
   }
 
   static void vfaddh(PmcaCore& c, const TI& t) {
@@ -752,36 +518,16 @@ struct ThreadedPmca {
 
 isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
                                             const PmcaCoreConfig& cfg) {
-  using isa::threaded::AnyFn;
+  using isa::rv::lat;
+  using isa::rv::plain;
   using isa::threaded::HandlerInfo;
   using H = ThreadedPmca;
-  const auto plain = [](void (*fn)(PmcaCore&, const ThreadedPmca::TI&)) {
-    return HandlerInfo{reinterpret_cast<AnyFn>(fn), 1};
-  };
-  const auto lat = [](void (*fn)(PmcaCore&, const ThreadedPmca::TI&),
-                      Cycles latency) {
-    return HandlerInfo{reinterpret_cast<AnyFn>(fn),
-                       static_cast<u32>(1 + latency)};
-  };
+  using B = isa::rv::Base<PmcaCore, H>;
+  if (const HandlerInfo base = isa::rv::resolve_base<PmcaCore, H>(op, cfg);
+      base.fn != nullptr) {
+    return base;
+  }
   switch (op) {
-    case Op::kLui: return plain(&H::lui);
-    case Op::kAuipc: return plain(&H::auipc);
-    case Op::kJal: return lat(&H::jal, cfg.jump_penalty);
-    case Op::kJalr: return lat(&H::jalr, cfg.jump_penalty);
-    case Op::kBeq: return plain(&H::beq);
-    case Op::kBne: return plain(&H::bne);
-    case Op::kBlt: return plain(&H::blt);
-    case Op::kBge: return plain(&H::bge);
-    case Op::kBltu: return plain(&H::bltu);
-    case Op::kBgeu: return plain(&H::bgeu);
-    case Op::kLb: return plain(&H::lb);
-    case Op::kLh: return plain(&H::lh);
-    case Op::kLw: return plain(&H::lw);
-    case Op::kLbu: return plain(&H::lbu);
-    case Op::kLhu: return plain(&H::lhu);
-    case Op::kSb: return plain(&H::sb);
-    case Op::kSh: return plain(&H::sh);
-    case Op::kSw: return plain(&H::sw);
     case Op::kPLbPost: return plain(&H::plb);
     case Op::kPLbuPost: return plain(&H::plbu);
     case Op::kPLhPost: return plain(&H::plh);
@@ -790,34 +536,6 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
     case Op::kPSbPost: return plain(&H::psb);
     case Op::kPShPost: return plain(&H::psh);
     case Op::kPSwPost: return plain(&H::psw);
-    case Op::kAddi: return plain(&H::addi);
-    case Op::kSlti: return plain(&H::slti);
-    case Op::kSltiu: return plain(&H::sltiu);
-    case Op::kXori: return plain(&H::xori);
-    case Op::kOri: return plain(&H::ori);
-    case Op::kAndi: return plain(&H::andi);
-    case Op::kSlli: return plain(&H::slli);
-    case Op::kSrli: return plain(&H::srli);
-    case Op::kSrai: return plain(&H::srai);
-    case Op::kAdd: return plain(&H::add);
-    case Op::kSub: return plain(&H::sub);
-    case Op::kSll: return plain(&H::sll);
-    case Op::kSlt: return plain(&H::slt);
-    case Op::kSltu: return plain(&H::sltu);
-    case Op::kXor: return plain(&H::xor_);
-    case Op::kSrl: return plain(&H::srl);
-    case Op::kSra: return plain(&H::sra);
-    case Op::kOr: return plain(&H::or_);
-    case Op::kAnd: return plain(&H::and_);
-    case Op::kMul: return lat(&H::mul, cfg.mul_latency);
-    case Op::kMulh: return lat(&H::mulh, cfg.mul_latency);
-    case Op::kMulhsu: return lat(&H::mulhsu, cfg.mul_latency);
-    case Op::kMulhu: return lat(&H::mulhu, cfg.mul_latency);
-    case Op::kDiv: return lat(&H::div, cfg.div_latency);
-    case Op::kDivu: return lat(&H::divu, cfg.div_latency);
-    case Op::kRem: return lat(&H::rem, cfg.div_latency);
-    case Op::kRemu: return lat(&H::remu, cfg.div_latency);
-    case Op::kFence: return plain(&H::fence);
     case Op::kCsrrw:
     case Op::kCsrrs:
     case Op::kCsrrc:
@@ -856,28 +574,14 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
     // latency.
     case Op::kPvSdotspBMem: return plain(&H::pv_sdotsp_b_mem);
     case Op::kPvSdotspHMem: return plain(&H::pv_sdotsp_h_mem);
-    case Op::kFlw: return plain(&H::flw);
-    case Op::kFsw: return plain(&H::fsw);
-    case Op::kFaddS: return lat(&H::fadds, cfg.fpu_latency);
-    case Op::kFsubS: return lat(&H::fsubs, cfg.fpu_latency);
-    case Op::kFmulS: return lat(&H::fmuls, cfg.fpu_latency);
-    // fdiv/fsqrt cost is a fixed 12 cycles, not a config latency.
-    case Op::kFdivS: return lat(&H::fdivs, 12);
-    case Op::kFsqrtS: return lat(&H::fsqrts, 12);
+    // fdiv/fsqrt cost is a fixed 12 cycles, not a config latency; the
+    // shared FPU's min/max is single-cycle.
+    case Op::kFdivS: return lat(&B::fdiv_s, 12);
+    case Op::kFsqrtS: return lat(&B::fsqrt_s, 12);
+    case Op::kFminS: return plain(&B::fmin_s);
+    case Op::kFmaxS: return plain(&B::fmax_s);
     case Op::kFmaddS: return lat(&H::fmadds, cfg.fpu_latency);
     case Op::kFmsubS: return lat(&H::fmsubs, cfg.fpu_latency);
-    case Op::kFsgnjS: return plain(&H::fsgnjs);
-    case Op::kFsgnjnS: return plain(&H::fsgnjns);
-    case Op::kFsgnjxS: return plain(&H::fsgnjxs);
-    case Op::kFminS: return plain(&H::fmins);
-    case Op::kFmaxS: return plain(&H::fmaxs);
-    case Op::kFeqS: return plain(&H::feqs);
-    case Op::kFltS: return plain(&H::flts);
-    case Op::kFleS: return plain(&H::fles);
-    case Op::kFcvtWS: return lat(&H::fcvtws, cfg.fpu_latency);
-    case Op::kFcvtSW: return lat(&H::fcvtsw, cfg.fpu_latency);
-    case Op::kFmvXW: return plain(&H::fmvxw);
-    case Op::kFmvWX: return plain(&H::fmvwx);
     case Op::kVfaddH: return lat(&H::vfaddh, cfg.fpu_latency);
     case Op::kVfsubH: return lat(&H::vfsubh, cfg.fpu_latency);
     case Op::kVfmulH: return lat(&H::vfmulh, cfg.fpu_latency);
@@ -899,12 +603,11 @@ void PmcaCore::exec_slow(Op op) {
       env_(*this);
       break;
     case Op::kEbreak:
-      throw SimError("PMCA ebreak at pc=0x" + std::to_string(pc_));
+      throw SimError("PMCA ebreak at pc=" + hex_addr(pc_));
     default:
       throw SimError("PMCA cannot execute '" +
-                     std::string(isa::mnemonic(op)) + "' at pc=0x" +
-                     std::to_string(pc_) +
-                     " (RV64/D instructions are host-only)");
+                     std::string(isa::mnemonic(op)) + "' at pc=" +
+                     hex_addr(pc_) + " (RV64/D instructions are host-only)");
   }
 }
 

@@ -56,8 +56,8 @@ struct PmcaCoreConfig {
 
 class PmcaCore {
  public:
-  /// Per-op handler table (pmca_core.cpp): the core's instruction
-  /// semantics.
+  /// The PMCA's own handlers and its policy for the shared RV base
+  /// (pmca_core.cpp, isa/rv_ops.hpp).
   friend struct ThreadedPmca;
 
   enum class State { kRunning, kBlocked, kFinished };

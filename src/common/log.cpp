@@ -101,4 +101,11 @@ void log_emit(LogLevel level, const std::string& component,
 }
 }  // namespace detail
 
+std::string hex_addr(Addr addr) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%llx",
+                static_cast<unsigned long long>(addr));
+  return buf;
+}
+
 }  // namespace hulkv

@@ -11,6 +11,8 @@
 #include <sstream>
 #include <string>
 
+#include "common/types.hpp"
+
 namespace hulkv {
 
 enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
@@ -44,5 +46,8 @@ void log(LogLevel level, const std::string& component, Args&&... args) {
   (os << ... << args);
   detail::log_emit(level, component, os.str());
 }
+
+/// `addr` as "0x" + lowercase hex digits, for messages and reports.
+std::string hex_addr(Addr addr);
 
 }  // namespace hulkv

@@ -10,6 +10,7 @@
 #include "common/bitutil.hpp"
 #include "common/log.hpp"
 #include "isa/disasm.hpp"
+#include "isa/rv_ops.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace hulkv::host {
@@ -242,10 +243,14 @@ Cva6Core::RunResult Cva6Core::run(u64 max_instructions) {
 //
 // One static handler per host op, `void(Cva6Core&, const ThreadedInstr&)`
 // — the only per-op implementation; exec_slow() covers the few ops
-// without one. The handler ABI: when a handler runs, `cycle_` already
-// includes the instruction's static cost (1-cycle issue + fixed
-// functional-unit latency, folded into ThreadedInstr::cyc at lower
-// time) and `instret_` does NOT yet count the instruction. Dynamic
+// without one. The RV32 base (integer, M, F-single, control and
+// memory) is isa::rv::Base, shared with the PMCA; ThreadedHost supplies
+// its policy (branch timing, pc target, LSU) and the host's own ops:
+// RV64I, the W-ops, CSRs, fmadd/fmsub, the 64-bit conversions and D.
+// The handler ABI: when a handler runs, `cycle_` already includes the
+// instruction's static cost (1-cycle issue + fixed functional-unit
+// latency, folded into ThreadedInstr::cyc at lower time) and
+// `instret_` does NOT yet count the instruction. Dynamic
 // costs (cache misses, TLB walks, branch-mispredict flushes) and every
 // stat-counter side effect stay in the handler. Handlers never touch
 // pc_/next_pc_ except the control ops (jal/jalr/branches), which write
@@ -254,9 +259,7 @@ Cva6Core::RunResult Cva6Core::run(u64 max_instructions) {
 struct ThreadedHost {
   using TI = isa::threaded::ThreadedInstr;
 
-  static void wr32(Cva6Core& c, u8 rd, u64 v) {
-    c.set_reg(rd, sign_extend(v & 0xFFFFFFFFull, 32));
-  }
+  // ---- the isa::rv::Base policy ----
   /// CVA6 has a branch predictor; we model static BTFN (backward taken,
   /// forward not-taken): loop back-edges are free, mispredictions
   /// (forward taken, or a not-taken backward branch such as a loop exit)
@@ -277,57 +280,17 @@ struct ThreadedHost {
       }
     }
   }
-
-  static void lui(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, sign_extend(static_cast<u32>(t.imm), 32));
+  static void jump(Cva6Core& c, Addr target) { c.pc_ = target; }
+  static u64 load(Cva6Core& c, Addr addr, u32 bytes, bool sign) {
+    return c.load(addr, bytes, sign);
   }
-  static void auipc(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, t.pc + sign_extend(static_cast<u32>(t.imm), 32));
-  }
-  static void jal(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, t.pc + 4);
-    c.pc_ = t.pc + t.imm;
-  }
-  static void jalr(Cva6Core& c, const TI& t) {
-    const Addr target = (c.x_[t.rs1] + t.imm) & ~1ull;
-    c.set_reg(t.rd, t.pc + 4);
-    c.pc_ = target;
-  }
-  static void beq(Cva6Core& c, const TI& t) {
-    branch(c, t, c.x_[t.rs1] == c.x_[t.rs2]);
-  }
-  static void bne(Cva6Core& c, const TI& t) {
-    branch(c, t, c.x_[t.rs1] != c.x_[t.rs2]);
-  }
-  static void blt(Cva6Core& c, const TI& t) {
-    branch(c, t,
-           static_cast<i64>(c.x_[t.rs1]) < static_cast<i64>(c.x_[t.rs2]));
-  }
-  static void bge(Cva6Core& c, const TI& t) {
-    branch(c, t,
-           static_cast<i64>(c.x_[t.rs1]) >= static_cast<i64>(c.x_[t.rs2]));
-  }
-  static void bltu(Cva6Core& c, const TI& t) {
-    branch(c, t, c.x_[t.rs1] < c.x_[t.rs2]);
-  }
-  static void bgeu(Cva6Core& c, const TI& t) {
-    branch(c, t, c.x_[t.rs1] >= c.x_[t.rs2]);
+  static void store(Cva6Core& c, Addr addr, u64 value, u32 bytes) {
+    c.store(addr, value, bytes);
   }
 
-  static void lb(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 1, true));
-  }
-  static void lh(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 2, true));
-  }
-  static void lw(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 4, true));
-  }
-  static void lbu(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 1, false));
-  }
-  static void lhu(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 2, false));
+  // ---- RV64I ----
+  static void wr32(Cva6Core& c, u8 rd, u64 v) {
+    c.set_reg(rd, sign_extend(v & 0xFFFFFFFFull, 32));
   }
   static void lwu(Cva6Core& c, const TI& t) {
     c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 4, false));
@@ -335,81 +298,8 @@ struct ThreadedHost {
   static void ld(Cva6Core& c, const TI& t) {
     c.set_reg(t.rd, c.load(c.x_[t.rs1] + t.imm, 8, false));
   }
-  static void sb(Cva6Core& c, const TI& t) {
-    c.store(c.x_[t.rs1] + t.imm, c.x_[t.rs2], 1);
-  }
-  static void sh(Cva6Core& c, const TI& t) {
-    c.store(c.x_[t.rs1] + t.imm, c.x_[t.rs2], 2);
-  }
-  static void sw(Cva6Core& c, const TI& t) {
-    c.store(c.x_[t.rs1] + t.imm, c.x_[t.rs2], 4);
-  }
   static void sd(Cva6Core& c, const TI& t) {
     c.store(c.x_[t.rs1] + t.imm, c.x_[t.rs2], 8);
-  }
-
-  static void addi(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] + t.imm);
-  }
-  static void slti(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<i64>(c.x_[t.rs1]) < t.imm ? 1 : 0);
-  }
-  static void sltiu(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd,
-              c.x_[t.rs1] < static_cast<u64>(static_cast<i64>(t.imm)) ? 1 : 0);
-  }
-  static void xori(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] ^ static_cast<u64>(static_cast<i64>(t.imm)));
-  }
-  static void ori(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] | static_cast<u64>(static_cast<i64>(t.imm)));
-  }
-  static void andi(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] & static_cast<u64>(static_cast<i64>(t.imm)));
-  }
-  static void slli(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] << (t.imm & 63));
-  }
-  static void srli(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] >> (t.imm & 63));
-  }
-  static void srai(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u64>(static_cast<i64>(c.x_[t.rs1]) >>
-                                     (t.imm & 63)));
-  }
-  static void add(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] + c.x_[t.rs2]);
-  }
-  static void sub(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] - c.x_[t.rs2]);
-  }
-  static void sll(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] << (c.x_[t.rs2] & 63));
-  }
-  static void slt(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<i64>(c.x_[t.rs1]) <
-                            static_cast<i64>(c.x_[t.rs2])
-                        ? 1
-                        : 0);
-  }
-  static void sltu(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] < c.x_[t.rs2] ? 1 : 0);
-  }
-  static void xor_(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] ^ c.x_[t.rs2]);
-  }
-  static void srl(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] >> (c.x_[t.rs2] & 63));
-  }
-  static void sra(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u64>(static_cast<i64>(c.x_[t.rs1]) >>
-                                     (c.x_[t.rs2] & 63)));
-  }
-  static void or_(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] | c.x_[t.rs2]);
-  }
-  static void and_(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] & c.x_[t.rs2]);
   }
 
   static void addiw(Cva6Core& c, const TI& t) {
@@ -442,64 +332,6 @@ struct ThreadedHost {
     wr32(c, t.rd,
          static_cast<u64>(static_cast<i64>(static_cast<i32>(c.x_[t.rs1])) >>
                           (c.x_[t.rs2] & 31)));
-  }
-
-  static void fence(Cva6Core&, const TI&) {}
-  static void csr(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.csr_read(static_cast<u16>(t.imm)));
-  }
-
-  static void mul(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, c.x_[t.rs1] * c.x_[t.rs2]);
-  }
-  static void mulh(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u64>(
-                        (static_cast<__int128>(static_cast<i64>(c.x_[t.rs1])) *
-                         static_cast<__int128>(static_cast<i64>(c.x_[t.rs2])))
-                        >> 64));
-  }
-  static void mulhsu(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, static_cast<u64>(
-                        (static_cast<__int128>(static_cast<i64>(c.x_[t.rs1])) *
-                         static_cast<unsigned __int128>(c.x_[t.rs2])) >> 64));
-  }
-  static void mulhu(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd,
-              static_cast<u64>((static_cast<unsigned __int128>(c.x_[t.rs1]) *
-                                static_cast<unsigned __int128>(c.x_[t.rs2]))
-                               >> 64));
-  }
-  static void div(Cva6Core& c, const TI& t) {
-    const u64 rs1 = c.x_[t.rs1], rs2 = c.x_[t.rs2];
-    if (rs2 == 0) {
-      c.set_reg(t.rd, ~0ull);
-    } else if (static_cast<i64>(rs1) == std::numeric_limits<i64>::min() &&
-               static_cast<i64>(rs2) == -1) {
-      c.set_reg(t.rd, rs1);
-    } else {
-      c.set_reg(t.rd, static_cast<u64>(static_cast<i64>(rs1) /
-                                       static_cast<i64>(rs2)));
-    }
-  }
-  static void divu(Cva6Core& c, const TI& t) {
-    const u64 rs2 = c.x_[t.rs2];
-    c.set_reg(t.rd, rs2 == 0 ? ~0ull : c.x_[t.rs1] / rs2);
-  }
-  static void rem(Cva6Core& c, const TI& t) {
-    const u64 rs1 = c.x_[t.rs1], rs2 = c.x_[t.rs2];
-    if (rs2 == 0) {
-      c.set_reg(t.rd, rs1);
-    } else if (static_cast<i64>(rs1) == std::numeric_limits<i64>::min() &&
-               static_cast<i64>(rs2) == -1) {
-      c.set_reg(t.rd, 0);
-    } else {
-      c.set_reg(t.rd, static_cast<u64>(static_cast<i64>(rs1) %
-                                       static_cast<i64>(rs2)));
-    }
-  }
-  static void remu(Cva6Core& c, const TI& t) {
-    const u64 rs2 = c.x_[t.rs2];
-    c.set_reg(t.rd, rs2 == 0 ? c.x_[t.rs1] : c.x_[t.rs1] % rs2);
   }
   static void mulw(Cva6Core& c, const TI& t) {
     wr32(c, t.rd,
@@ -543,34 +375,11 @@ struct ThreadedHost {
     wr32(c, t.rd, b == 0 ? a : a % b);
   }
 
-  static void flw(Cva6Core& c, const TI& t) {
-    c.set_freg(t.rd,
-               0xFFFFFFFF00000000ull | c.load(c.x_[t.rs1] + t.imm, 4, false));
+  static void csr(Cva6Core& c, const TI& t) {
+    c.set_reg(t.rd, c.csr_read(static_cast<u16>(t.imm)));
   }
-  static void fld(Cva6Core& c, const TI& t) {
-    c.set_freg(t.rd, c.load(c.x_[t.rs1] + t.imm, 8, false));
-  }
-  static void fsw(Cva6Core& c, const TI& t) {
-    c.store(c.x_[t.rs1] + t.imm, static_cast<u32>(c.f_[t.rs2]), 4);
-  }
-  static void fsd(Cva6Core& c, const TI& t) {
-    c.store(c.x_[t.rs1] + t.imm, c.f_[t.rs2], 8);
-  }
-  static void fadds(Cva6Core& c, const TI& t) {
-    c.set_freg(t.rd, boxed(as_f32(c.f_[t.rs1]) + as_f32(c.f_[t.rs2])));
-  }
-  static void fsubs(Cva6Core& c, const TI& t) {
-    c.set_freg(t.rd, boxed(as_f32(c.f_[t.rs1]) - as_f32(c.f_[t.rs2])));
-  }
-  static void fmuls(Cva6Core& c, const TI& t) {
-    c.set_freg(t.rd, boxed(as_f32(c.f_[t.rs1]) * as_f32(c.f_[t.rs2])));
-  }
-  static void fdivs(Cva6Core& c, const TI& t) {
-    c.set_freg(t.rd, boxed(as_f32(c.f_[t.rs1]) / as_f32(c.f_[t.rs2])));
-  }
-  static void fsqrts(Cva6Core& c, const TI& t) {
-    c.set_freg(t.rd, boxed(std::sqrt(as_f32(c.f_[t.rs1]))));
-  }
+
+  // ---- F (single) beyond the shared base ----
   static void fmadds(Cva6Core& c, const TI& t) {
     c.set_freg(t.rd, boxed(std::fma(as_f32(c.f_[t.rs1]), as_f32(c.f_[t.rs2]),
                                     as_f32(c.f_[t.rs3]))));
@@ -579,64 +388,21 @@ struct ThreadedHost {
     c.set_freg(t.rd, boxed(std::fma(as_f32(c.f_[t.rs1]), as_f32(c.f_[t.rs2]),
                                     -as_f32(c.f_[t.rs3]))));
   }
-  static void fsgnjs(Cva6Core& c, const TI& t) {
-    const u32 a = static_cast<u32>(c.f_[t.rs1]);
-    const u32 b = static_cast<u32>(c.f_[t.rs2]);
-    c.set_freg(t.rd, 0xFFFFFFFF00000000ull |
-                         ((a & 0x7FFFFFFFu) | (b & 0x80000000u)));
-  }
-  static void fsgnjns(Cva6Core& c, const TI& t) {
-    const u32 a = static_cast<u32>(c.f_[t.rs1]);
-    const u32 b = static_cast<u32>(c.f_[t.rs2]);
-    c.set_freg(t.rd, 0xFFFFFFFF00000000ull |
-                         ((a & 0x7FFFFFFFu) | (~b & 0x80000000u)));
-  }
-  static void fsgnjxs(Cva6Core& c, const TI& t) {
-    const u32 a = static_cast<u32>(c.f_[t.rs1]);
-    const u32 b = static_cast<u32>(c.f_[t.rs2]);
-    c.set_freg(t.rd, 0xFFFFFFFF00000000ull | (a ^ (b & 0x80000000u)));
-  }
-  static void fmins(Cva6Core& c, const TI& t) {
-    c.set_freg(t.rd,
-               boxed(std::fmin(as_f32(c.f_[t.rs1]), as_f32(c.f_[t.rs2]))));
-  }
-  static void fmaxs(Cva6Core& c, const TI& t) {
-    c.set_freg(t.rd,
-               boxed(std::fmax(as_f32(c.f_[t.rs1]), as_f32(c.f_[t.rs2]))));
-  }
-  static void feqs(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, as_f32(c.f_[t.rs1]) == as_f32(c.f_[t.rs2]) ? 1 : 0);
-  }
-  static void flts(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, as_f32(c.f_[t.rs1]) < as_f32(c.f_[t.rs2]) ? 1 : 0);
-  }
-  static void fles(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, as_f32(c.f_[t.rs1]) <= as_f32(c.f_[t.rs2]) ? 1 : 0);
-  }
-  static void fcvtws(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, sign_extend(static_cast<u32>(cvt_f_to_i32(
-                                    as_f32(c.f_[t.rs1]))),
-                                32));
-  }
   static void fcvtls(Cva6Core& c, const TI& t) {
     c.set_reg(t.rd, static_cast<u64>(cvt_f_to_i64(as_f32(c.f_[t.rs1]))));
-  }
-  static void fcvtsw(Cva6Core& c, const TI& t) {
-    c.set_freg(t.rd,
-               boxed(static_cast<float>(static_cast<i32>(c.x_[t.rs1]))));
   }
   static void fcvtsl(Cva6Core& c, const TI& t) {
     c.set_freg(t.rd,
                boxed(static_cast<float>(static_cast<i64>(c.x_[t.rs1]))));
   }
-  static void fmvxw(Cva6Core& c, const TI& t) {
-    c.set_reg(t.rd, sign_extend(c.f_[t.rs1] & 0xFFFFFFFFull, 32));
-  }
-  static void fmvwx(Cva6Core& c, const TI& t) {
-    c.set_freg(t.rd,
-               0xFFFFFFFF00000000ull | (c.x_[t.rs1] & 0xFFFFFFFFull));
-  }
 
+  // ---- D ----
+  static void fld(Cva6Core& c, const TI& t) {
+    c.set_freg(t.rd, c.load(c.x_[t.rs1] + t.imm, 8, false));
+  }
+  static void fsd(Cva6Core& c, const TI& t) {
+    c.store(c.x_[t.rs1] + t.imm, c.f_[t.rs2], 8);
+  }
   static void faddd(Cva6Core& c, const TI& t) {
     c.set_freg(t.rd, raw64(as_f64(c.f_[t.rs1]) + as_f64(c.f_[t.rs2])));
   }
@@ -707,58 +473,20 @@ struct ThreadedHost {
 
 isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
                                             const Cva6Config& cfg) {
-  using isa::threaded::AnyFn;
+  using isa::rv::lat;
+  using isa::rv::plain;
   using isa::threaded::HandlerInfo;
   using H = ThreadedHost;
-  const auto plain = [](void (*fn)(Cva6Core&, const ThreadedHost::TI&)) {
-    return HandlerInfo{reinterpret_cast<AnyFn>(fn), 1};
-  };
-  const auto lat = [](void (*fn)(Cva6Core&, const ThreadedHost::TI&),
-                      Cycles latency) {
-    return HandlerInfo{reinterpret_cast<AnyFn>(fn),
-                       static_cast<u32>(1 + latency)};
-  };
+  using B = isa::rv::Base<Cva6Core, H>;
+  if (const HandlerInfo base =
+          isa::rv::resolve_base<Cva6Core, H>(op, cfg);
+      base.fn != nullptr) {
+    return base;
+  }
   switch (op) {
-    case Op::kLui: return plain(&H::lui);
-    case Op::kAuipc: return plain(&H::auipc);
-    case Op::kJal: return lat(&H::jal, cfg.jump_penalty);
-    case Op::kJalr: return lat(&H::jalr, cfg.jump_penalty);
-    case Op::kBeq: return plain(&H::beq);
-    case Op::kBne: return plain(&H::bne);
-    case Op::kBlt: return plain(&H::blt);
-    case Op::kBge: return plain(&H::bge);
-    case Op::kBltu: return plain(&H::bltu);
-    case Op::kBgeu: return plain(&H::bgeu);
-    case Op::kLb: return plain(&H::lb);
-    case Op::kLh: return plain(&H::lh);
-    case Op::kLw: return plain(&H::lw);
-    case Op::kLbu: return plain(&H::lbu);
-    case Op::kLhu: return plain(&H::lhu);
     case Op::kLwu: return plain(&H::lwu);
     case Op::kLd: return plain(&H::ld);
-    case Op::kSb: return plain(&H::sb);
-    case Op::kSh: return plain(&H::sh);
-    case Op::kSw: return plain(&H::sw);
     case Op::kSd: return plain(&H::sd);
-    case Op::kAddi: return plain(&H::addi);
-    case Op::kSlti: return plain(&H::slti);
-    case Op::kSltiu: return plain(&H::sltiu);
-    case Op::kXori: return plain(&H::xori);
-    case Op::kOri: return plain(&H::ori);
-    case Op::kAndi: return plain(&H::andi);
-    case Op::kSlli: return plain(&H::slli);
-    case Op::kSrli: return plain(&H::srli);
-    case Op::kSrai: return plain(&H::srai);
-    case Op::kAdd: return plain(&H::add);
-    case Op::kSub: return plain(&H::sub);
-    case Op::kSll: return plain(&H::sll);
-    case Op::kSlt: return plain(&H::slt);
-    case Op::kSltu: return plain(&H::sltu);
-    case Op::kXor: return plain(&H::xor_);
-    case Op::kSrl: return plain(&H::srl);
-    case Op::kSra: return plain(&H::sra);
-    case Op::kOr: return plain(&H::or_);
-    case Op::kAnd: return plain(&H::and_);
     case Op::kAddiw: return plain(&H::addiw);
     case Op::kSlliw: return plain(&H::slliw);
     case Op::kSrliw: return plain(&H::srliw);
@@ -768,51 +496,27 @@ isa::threaded::HandlerInfo threaded_resolve(isa::Op op,
     case Op::kSllw: return plain(&H::sllw);
     case Op::kSrlw: return plain(&H::srlw);
     case Op::kSraw: return plain(&H::sraw);
-    case Op::kFence: return plain(&H::fence);
     case Op::kCsrrw:
     case Op::kCsrrs:
     case Op::kCsrrc:
     case Op::kCsrrwi:
     case Op::kCsrrsi:
     case Op::kCsrrci: return plain(&H::csr);
-    case Op::kMul: return lat(&H::mul, cfg.mul_latency);
-    case Op::kMulh: return lat(&H::mulh, cfg.mul_latency);
-    case Op::kMulhsu: return lat(&H::mulhsu, cfg.mul_latency);
-    case Op::kMulhu: return lat(&H::mulhu, cfg.mul_latency);
-    case Op::kDiv: return lat(&H::div, cfg.div_latency);
-    case Op::kDivu: return lat(&H::divu, cfg.div_latency);
-    case Op::kRem: return lat(&H::rem, cfg.div_latency);
-    case Op::kRemu: return lat(&H::remu, cfg.div_latency);
     case Op::kMulw: return lat(&H::mulw, cfg.mul_latency);
     case Op::kDivw: return lat(&H::divw, cfg.div_latency);
     case Op::kDivuw: return lat(&H::divuw, cfg.div_latency);
     case Op::kRemw: return lat(&H::remw, cfg.div_latency);
     case Op::kRemuw: return lat(&H::remuw, cfg.div_latency);
-    case Op::kFlw: return plain(&H::flw);
     case Op::kFld: return plain(&H::fld);
-    case Op::kFsw: return plain(&H::fsw);
     case Op::kFsd: return plain(&H::fsd);
-    case Op::kFaddS: return lat(&H::fadds, cfg.fpu_latency);
-    case Op::kFsubS: return lat(&H::fsubs, cfg.fpu_latency);
-    case Op::kFmulS: return lat(&H::fmuls, cfg.fpu_latency);
-    case Op::kFdivS: return lat(&H::fdivs, cfg.fdiv_latency);
-    case Op::kFsqrtS: return lat(&H::fsqrts, cfg.fdiv_latency);
+    case Op::kFdivS: return lat(&B::fdiv_s, cfg.fdiv_latency);
+    case Op::kFsqrtS: return lat(&B::fsqrt_s, cfg.fdiv_latency);
+    case Op::kFminS: return lat(&B::fmin_s, cfg.fpu_latency);
+    case Op::kFmaxS: return lat(&B::fmax_s, cfg.fpu_latency);
     case Op::kFmaddS: return lat(&H::fmadds, cfg.fpu_latency);
     case Op::kFmsubS: return lat(&H::fmsubs, cfg.fpu_latency);
-    case Op::kFsgnjS: return plain(&H::fsgnjs);
-    case Op::kFsgnjnS: return plain(&H::fsgnjns);
-    case Op::kFsgnjxS: return plain(&H::fsgnjxs);
-    case Op::kFminS: return lat(&H::fmins, cfg.fpu_latency);
-    case Op::kFmaxS: return lat(&H::fmaxs, cfg.fpu_latency);
-    case Op::kFeqS: return plain(&H::feqs);
-    case Op::kFltS: return plain(&H::flts);
-    case Op::kFleS: return plain(&H::fles);
-    case Op::kFcvtWS: return lat(&H::fcvtws, cfg.fpu_latency);
-    case Op::kFcvtSW: return lat(&H::fcvtsw, cfg.fpu_latency);
     case Op::kFcvtLS: return lat(&H::fcvtls, cfg.fpu_latency);
     case Op::kFcvtSL: return lat(&H::fcvtsl, cfg.fpu_latency);
-    case Op::kFmvXW: return plain(&H::fmvxw);
-    case Op::kFmvWX: return plain(&H::fmvwx);
     case Op::kFaddD: return lat(&H::faddd, cfg.fpu_latency);
     case Op::kFsubD: return lat(&H::fsubd, cfg.fpu_latency);
     case Op::kFmulD: return lat(&H::fmuld, cfg.fpu_latency);
@@ -859,7 +563,7 @@ void Cva6Core::exec_slow(Op op) {
       break;
     }
     case Op::kEbreak:
-      throw SimError("ebreak executed at pc=0x" + std::to_string(pc_));
+      throw SimError("ebreak executed at pc=" + hex_addr(pc_));
     case Op::kWfi:
       if (wfi_) {
         const Cycles sleep_start = cycle_;
@@ -869,9 +573,8 @@ void Cva6Core::exec_slow(Op op) {
       break;
     default:
       throw SimError("CVA6 cannot execute '" +
-                     std::string(isa::mnemonic(op)) + "' at pc=0x" +
-                     std::to_string(pc_) +
-                     " (Xpulp extensions are PMCA-only)");
+                     std::string(isa::mnemonic(op)) + "' at pc=" +
+                     hex_addr(pc_) + " (Xpulp extensions are PMCA-only)");
   }
 }
 

@@ -77,7 +77,8 @@ struct Cva6Config {
 
 class Cva6Core {
  public:
-  /// Per-op handler table (cva6.cpp): the core's instruction semantics.
+  /// The host's own handlers and its policy for the shared RV base
+  /// (cva6.cpp, isa/rv_ops.hpp).
   friend struct ThreadedHost;
 
   /// Result of a run() segment.

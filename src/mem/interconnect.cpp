@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/log.hpp"
+
 namespace hulkv::mem {
 
 namespace {
@@ -128,11 +130,7 @@ Cycles SocBus::transact(Cycles now, Addr addr, void* data, u32 bytes,
     return timed ? dram_timing_->access(issue, addr, bytes, is_write) : now;
   }
 
-  throw SimError("bus access to unmapped address 0x" + [addr] {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%llx", static_cast<unsigned long long>(addr));
-    return std::string(buf);
-  }());
+  throw SimError("bus access to unmapped address " + hex_addr(addr));
 }
 
 }  // namespace hulkv::mem

@@ -31,13 +31,6 @@ u64 stall_sum(const InstrStats& s) {
   return total;
 }
 
-std::string hex_addr(Addr a) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(a));
-  return buf;
-}
-
 }  // namespace
 
 const char* reason_name(Reason r) {

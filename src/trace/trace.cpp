@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "report/report.hpp"
+#include "trace/chrome_trace.hpp"
+
 namespace hulkv::trace {
 
 namespace detail {
@@ -149,6 +152,18 @@ void TraceSink::complete(u32 track_id, Ev type, Cycles start, Cycles end,
 void TraceSink::counter(u32 track_id, Ev type, Cycles ts, u64 delta) {
   if (!enabled_) return;
   push(Event{ts, 0, delta, 0, track_id, type});
+}
+
+void configure(const report::BenchOptions& options) {
+  if (options.trace_path.empty()) return;
+  TraceSink& s = sink();
+  s.clear();
+  s.enable();
+}
+
+void finish_bench(const report::BenchOptions& options) {
+  if (options.trace_path.empty()) return;
+  write_chrome_trace_file(options.trace_path, sink());
 }
 
 }  // namespace hulkv::trace

@@ -19,6 +19,10 @@
 
 #include "common/types.hpp"
 
+namespace hulkv::report {
+struct BenchOptions;
+}  // namespace hulkv::report
+
 namespace hulkv::trace {
 
 /// Event taxonomy. Each value maps 1:1 onto a Chrome trace_event name
@@ -169,5 +173,15 @@ class TraceSink {
 
 /// Shorthand for the global sink.
 inline TraceSink& sink() { return TraceSink::instance(); }
+
+/// Bench wiring: clear and enable the sink when --trace <path> was
+/// given.
+void configure(const report::BenchOptions& options);
+
+/// Bench wiring: when --trace <path> was given, write the sink there as
+/// Chrome trace_event JSON (trace/chrome_trace.hpp). Call it after
+/// profile::finish_bench, which flushes the profiler's stall counters
+/// into the sink, and after telemetry::finish_bench.
+void finish_bench(const report::BenchOptions& options);
 
 }  // namespace hulkv::trace

@@ -11,6 +11,8 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/soc.hpp"
@@ -18,6 +20,7 @@
 #include "isa/threaded.hpp"
 #include "kernels/iot_benchmarks.hpp"
 #include "profile/profile.hpp"
+#include "telemetry/json.hpp"
 
 namespace {
 
@@ -186,6 +189,31 @@ TEST(Determinism, TelemetryDoesNotPerturbBenchStdout) {
   std::fclose(f);
   std::remove(manifest.c_str());
   rmdir(dir.c_str());
+}
+
+TEST(Determinism, TraceDoesNotPerturbBenchStdout) {
+  // --trace is wired through trace::configure/finish_bench in every
+  // figure/table bench: the file is written and is valid JSON, and
+  // stdout is byte-identical with tracing on or off. table2_power keeps
+  // the file small (the simulation benches write 50-450 MB traces).
+  char tmpl[] = "/tmp/hulkv_det_trace.XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string path = std::string(tmpl) + "/table2_power.json";
+  const std::string cmd = std::string(HULKV_BENCH_DIR) + "/table2_power";
+  const std::string off = run_stdout(cmd + " --jobs 1");
+  ASSERT_FALSE(off.empty());
+  EXPECT_EQ(off, run_stdout(cmd + " --jobs 1 --trace " + path));
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing trace " << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  const telemetry::json::Value trace = telemetry::json::parse(text.str());
+  const telemetry::json::Value* events = trace.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  EXPECT_TRUE(events->is(telemetry::json::Kind::kArray));
+  std::remove(path.c_str());
+  rmdir(tmpl);
 }
 
 }  // namespace

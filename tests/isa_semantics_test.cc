@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <ostream>
 
 #include "common/bitutil.hpp"
@@ -222,7 +224,7 @@ TEST(HostFp, ConversionSaturation) {
               a.ri(Op::kFcvtWS, a0, 1, 0);
             }),
             0x7FFFFFFFull);
-  // fcvt.w.s of -1e10 saturates to INT32_MIN.
+  // fcvt.w.s of -1e10 saturates to std::numeric_limits<i32>::min().
   EXPECT_EQ(run_host_fp([](Assembler& a) {
               load_f32(a, 1, -1e10f);
               a.ri(Op::kFcvtWS, a0, 1, 0);
@@ -235,6 +237,92 @@ TEST(HostFp, ConversionSaturation) {
               a.ri(Op::kFcvtLS, a0, 1, 0);
             }),
             1ull << 20);
+}
+
+/// fcvt.w.s edge cases (RISC-V: round to nearest even, saturate, NaN ->
+/// INT32_MAX). Both cores run the one shared handler; these pin it.
+struct FcvtCase {
+  float in;
+  i32 want;
+};
+constexpr i32 kI32Min = std::numeric_limits<i32>::min();
+constexpr FcvtCase kFcvtWSCases[] = {
+    {std::numeric_limits<float>::quiet_NaN(), 0x7FFFFFFF},
+    {std::numeric_limits<float>::infinity(), 0x7FFFFFFF},
+    {-std::numeric_limits<float>::infinity(), kI32Min},
+    {0x1p31f, 0x7FFFFFFF},        // 2^31: first float out of range
+    {-0x1p31f, kI32Min},          // -2^31: exactly representable
+    {2147483520.0f, 2147483520},  // largest float below 2^31
+    {2.5f, 2},                    // ties to even
+    {-2.5f, -2},
+    {3.5f, 4},
+};
+
+TEST(HostFp, FcvtWSEdgeCases) {
+  for (const FcvtCase& c : kFcvtWSCases) {
+    EXPECT_EQ(run_host_fp([&](Assembler& a) {
+                load_f32(a, 1, c.in);
+                a.ri(Op::kFcvtWS, a0, 1, 0);
+              }),
+              static_cast<u64>(static_cast<i64>(c.want)))
+        << "fcvt.w.s(" << c.in << ")";
+  }
+}
+
+TEST(HostFp, FmvXWSignExtends) {
+  // fmv.x.w copies the single's bits and sign-extends bit 31 to XLEN.
+  EXPECT_EQ(run_host_fp([](Assembler& a) {
+              load_f32(a, 1, -1.0f);
+              a.ri(Op::kFmvXW, a0, 1, 0);
+            }),
+            0xFFFFFFFFBF800000ull);
+  EXPECT_EQ(run_host_fp([](Assembler& a) {
+              load_f32(a, 1, 1.0f);
+              a.ri(Op::kFmvXW, a0, 1, 0);
+            }),
+            0x3F800000ull);
+}
+
+TEST(HostFp, SingleResultsAreNanBoxed) {
+  // Every F-single write fills the upper 32 bits of the 64-bit f-register
+  // with ones; fmv.x.d reads the whole register back.
+  const auto boxed = [](float v) {
+    return 0xFFFFFFFF00000000ull | std::bit_cast<u32>(v);
+  };
+  EXPECT_EQ(run_host_fp([](Assembler& a) {
+              load_f32(a, 1, 1.5f);
+              load_f32(a, 2, 2.0f);
+              a.rr(Op::kFaddS, 0, 1, 2);
+              a.ri(Op::kFmvXD, a0, 0, 0);
+            }),
+            boxed(3.5f));
+  EXPECT_EQ(run_host_fp([](Assembler& a) {
+              load_f32(a, 1, 1.5f);
+              load_f32(a, 2, -2.0f);
+              a.rr(Op::kFsgnjS, 0, 1, 2);
+              a.ri(Op::kFmvXD, a0, 0, 0);
+            }),
+            boxed(-1.5f));
+  EXPECT_EQ(run_host_fp([](Assembler& a) {
+              a.li(t0, -7);
+              a.ri(Op::kFcvtSW, 0, t0, 0);
+              a.ri(Op::kFmvXD, a0, 0, 0);
+            }),
+            boxed(-7.0f));
+  EXPECT_EQ(run_host_fp([](Assembler& a) {
+              a.li(t0, 0x12345678);
+              a.ri(Op::kFmvWX, 0, t0, 0);
+              a.ri(Op::kFmvXD, a0, 0, 0);
+            }),
+            0xFFFFFFFF12345678ull);
+  EXPECT_EQ(run_host_fp([](Assembler& a) {
+              a.li(t0, core::layout::kSharedBase);
+              a.li(t1, std::bit_cast<u32>(0.25f));
+              a.sw(t1, 0, t0);
+              a.load(Op::kFlw, 0, 0, t0);
+              a.ri(Op::kFmvXD, a0, 0, 0);
+            }),
+            boxed(0.25f));
 }
 
 TEST(HostFp, NanComparesFalse) {
@@ -382,6 +470,47 @@ INSTANTIATE_TEST_SUITE_P(
         PmcaRCase{Op::kPvDotspB, 0x01010101, 0x02020202, 8},
         PmcaRCase{Op::kPvDotspH, 0x00020003, 0x00040005, 23}));
 
+// RV32I edges of the handlers the PMCA shares with the host
+// (isa/rv_ops.hpp): at XLEN 32 shift amounts mask to 5 bits, sra fills
+// with the sign, and slt/sltu differ on the sign bit.
+INSTANTIATE_TEST_SUITE_P(
+    Rv32IEdges, PmcaROp,
+    ::testing::Values(
+        PmcaRCase{Op::kAdd, 0xFFFFFFFFu, 1, 0},  // wraparound
+        PmcaRCase{Op::kSub, 0, 1, 0xFFFFFFFFu},
+        PmcaRCase{Op::kSll, 1, 31, 0x80000000u},
+        PmcaRCase{Op::kSll, 1, 32, 1},  // shift amount masked to 5 bits
+        PmcaRCase{Op::kSrl, 0x80000000u, 31, 1},
+        PmcaRCase{Op::kSrl, 0x80000000u, 32, 0x80000000u},
+        PmcaRCase{Op::kSra, 0x80000000u, 31, 0xFFFFFFFFu},
+        PmcaRCase{Op::kSra, 0x80000000u, 32, 0x80000000u},
+        PmcaRCase{Op::kSra, 0x80000010u, 4, 0xF8000001u},  // sign fill
+        PmcaRCase{Op::kSlt, 0x80000000u, 0, 1},
+        PmcaRCase{Op::kSltu, 0x80000000u, 0, 0},
+        PmcaRCase{Op::kMulhu, 0x80000000u, 2, 1}));
+
+TEST(PmcaImm, SltiuTreatsImmAsUnsignedOfSext) {
+  // sltiu t2, t1, -1 compares against 0xFFFFFFFF: true for everything
+  // but 0xFFFFFFFF itself.
+  core::HulkVSoc soc(fast_config());
+  const auto out = run0(
+      soc,
+      [](Assembler& a) {
+        a.li(t1, 5);
+        a.ri(Op::kSltiu, t2, t1, -1);
+        a.sw(t2, 0, s10);
+        a.li(t1, -1);
+        a.ri(Op::kSltiu, t2, t1, -1);
+        a.sw(t2, 4, s10);
+        a.ri(Op::kSlti, t2, t1, 0);  // signed: -1 < 0
+        a.sw(t2, 8, s10);
+      },
+      3);
+  EXPECT_EQ(out[0], 1u);
+  EXPECT_EQ(out[1], 0u);
+  EXPECT_EQ(out[2], 1u);
+}
+
 TEST(PmcaUnary, AbsAndExtensions) {
   core::HulkVSoc soc(fast_config());
   const auto out = run0(
@@ -503,6 +632,26 @@ TEST(PmcaFp, ScalarSingles) {
   EXPECT_EQ(std::bit_cast<float>(out[0]), 3.5f);
   EXPECT_EQ(std::bit_cast<float>(out[1]), 14.0f);
   EXPECT_EQ(out[2], 14u);
+}
+
+TEST(PmcaFp, FcvtWSEdgeCases) {
+  core::HulkVSoc soc(fast_config());
+  const size_t n = std::size(kFcvtWSCases);
+  const auto out = run0(
+      soc,
+      [&](Assembler& a) {
+        for (size_t i = 0; i < n; ++i) {
+          a.li(t1, std::bit_cast<u32>(kFcvtWSCases[i].in));
+          a.ri(Op::kFmvWX, 1, t1, 0);
+          a.ri(Op::kFcvtWS, t2, 1, 0);
+          a.sw(t2, static_cast<i32>(4 * i), s10);
+        }
+      },
+      n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(out[i], static_cast<u32>(kFcvtWSCases[i].want))
+        << "fcvt.w.s(" << kFcvtWSCases[i].in << ")";
+  }
 }
 
 TEST(PmcaFp16, VectorAddSubMulAndCvt) {

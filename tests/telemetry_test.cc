@@ -504,9 +504,9 @@ TEST(TelemetryManifest, AppendManifestAccumulatesJsonLines) {
 
 TEST(SweepEngineStats, SerialRunJobsMeasuresEveryJob) {
   std::atomic<u64> ran{0};
-  batch::run_jobs(5, 1, [&](u64) { ran.fetch_add(1); });
+  const batch::SweepStats stats =
+      batch::run_jobs(5, 1, [&](u64) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 5u);
-  const batch::SweepStats& stats = batch::last_sweep_stats();
   EXPECT_EQ(stats.jobs, 5u);
   EXPECT_EQ(stats.workers, 1u);
   EXPECT_EQ(stats.latency.count(), 5u);
@@ -521,9 +521,9 @@ TEST(SweepEngineStats, ParallelRunJobsBoundsInFlightByWorkers) {
   constexpr u64 kJobs = 32;
   constexpr u32 kWorkers = 4;
   std::atomic<u64> ran{0};
-  batch::run_jobs(kJobs, kWorkers, [&](u64) { ran.fetch_add(1); });
+  const batch::SweepStats stats =
+      batch::run_jobs(kJobs, kWorkers, [&](u64) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), kJobs);
-  const batch::SweepStats& stats = batch::last_sweep_stats();
   EXPECT_EQ(stats.jobs, kJobs);
   EXPECT_EQ(stats.workers, kWorkers);
   EXPECT_EQ(stats.latency.count(), kJobs);
@@ -535,20 +535,6 @@ TEST(SweepEngineStats, ParallelRunJobsBoundsInFlightByWorkers) {
     EXPECT_GE(depth, 1u);
     EXPECT_LE(depth, kWorkers);
   }
-}
-
-TEST(SweepEngineStats, StatsReportCarriesHeadlineMetrics) {
-  const batch::SweepEngine engine(2);
-  const std::vector<int> out =
-      engine.map<int>(6, [](u64 index) { return static_cast<int>(index); });
-  EXPECT_EQ(out.size(), 6u);
-  const report::MetricsReport rep = engine.stats_report("sweep_stats");
-  for (const char* key :
-       {"sweep.jobs", "sweep.jobs_per_s", "sweep.latency_p50",
-        "sweep.latency_p99", "sweep.utilization", "sweep.max_in_flight"}) {
-    EXPECT_NE(rep.metric(key), nullptr) << key;
-  }
-  EXPECT_EQ(rep.metric_text("sweep.jobs"), "6");
 }
 
 TEST(SweepEngineStats, SweepSummaryReachesTelemetryRegistry) {
@@ -564,12 +550,12 @@ TEST(SweepEngineStats, SweepSummaryReachesTelemetryRegistry) {
   // Jobs also landed in the batch-job span histogram.
 }
 
-TEST(SweepEngineStats, EmptyRunClearsLastStats) {
-  batch::run_jobs(3, 1, [](u64) {});
-  EXPECT_EQ(batch::last_sweep_stats().jobs, 3u);
-  batch::run_jobs(0, 4, [](u64) { FAIL() << "no jobs expected"; });
-  EXPECT_EQ(batch::last_sweep_stats().jobs, 0u);
-  EXPECT_EQ(batch::last_sweep_stats().latency.count(), 0u);
+TEST(SweepEngineStats, EmptyRunReturnsEmptyStats) {
+  EXPECT_EQ(batch::run_jobs(3, 1, [](u64) {}).jobs, 3u);
+  const batch::SweepStats stats =
+      batch::run_jobs(0, 4, [](u64) { FAIL() << "no jobs expected"; });
+  EXPECT_EQ(stats.jobs, 0u);
+  EXPECT_EQ(stats.latency.count(), 0u);
 }
 
 }  // namespace

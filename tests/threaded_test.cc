@@ -221,10 +221,11 @@ TEST(ThreadedTier, CrossIsaOpsFaultIdenticallyOnBothTiers) {
     }
     return what;
   };
+  // The pc prints in hex: kHostCodeBase + 4.
+  static_assert(core::layout::kHostCodeBase + 4 == 0x80100004ull);
   const std::string host_expected =
       "CVA6 cannot execute '" + std::string(isa::mnemonic(Op::kPMac)) +
-      "' at pc=0x" + std::to_string(core::layout::kHostCodeBase + 4) +
-      " (Xpulp extensions are PMCA-only)";
+      "' at pc=0x80100004 (Xpulp extensions are PMCA-only)";
   EXPECT_EQ(host_fault(isa::ExecTier::kInterp), host_expected);
   EXPECT_EQ(host_fault(isa::ExecTier::kThreaded), host_expected);
 
@@ -249,12 +250,39 @@ TEST(ThreadedTier, CrossIsaOpsFaultIdenticallyOnBothTiers) {
     }
     return what;
   };
+  static_assert(mem::map::kL2Base + 8 == 0x1c000008ull);
   const std::string pmca_expected =
       "PMCA cannot execute '" + std::string(isa::mnemonic(Op::kLd)) +
-      "' at pc=0x" + std::to_string(mem::map::kL2Base + 8) +
-      " (RV64/D instructions are host-only)";
+      "' at pc=0x1c000008 (RV64/D instructions are host-only)";
   EXPECT_EQ(pmca_fault(isa::ExecTier::kInterp), pmca_expected);
   EXPECT_EQ(pmca_fault(isa::ExecTier::kThreaded), pmca_expected);
+}
+
+TEST(ThreadedTier, EbreakFaultNamesTheHexPc) {
+  core::HulkVSoc soc(fast_config());
+  Assembler h(core::layout::kHostCodeBase, /*rv64=*/true);
+  h.addi(t0, zero, 1);
+  h.emit({.op = Op::kEbreak});
+  soc.load_program(core::layout::kHostCodeBase, h.assemble());
+  soc.host().set_pc(core::layout::kHostCodeBase);
+  try {
+    soc.host().run();
+    ADD_FAILURE() << "host ebreak did not fault";
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()), "ebreak executed at pc=0x80100004");
+  }
+
+  Assembler p(0, /*rv64=*/false);
+  p.addi(t0, zero, 1);
+  p.addi(t1, zero, 2);
+  p.emit({.op = Op::kEbreak});
+  soc.load_program(mem::map::kL2Base, p.assemble());
+  try {
+    soc.cluster().run_kernel(0, mem::map::kL2Base, 0);
+    ADD_FAILURE() << "PMCA ebreak did not fault";
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()), "PMCA ebreak at pc=0x1c000008");
+  }
 }
 
 TEST(ThreadedTier, BoundedRunsRetireTheExactBudget) {
