@@ -21,11 +21,7 @@
 #include "kernels/cluster_kernels.hpp"
 #include "kernels/iot_benchmarks.hpp"
 #include "common/rng.hpp"
-#include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
-#include "telemetry/telemetry.hpp"
-#include "trace/trace.hpp"
 #include "runtime/offload.hpp"
 #include "power/power_model.hpp"
 
@@ -293,15 +289,7 @@ void latency_ladder(const batch::SweepEngine& engine,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
-  isa::configure_tier(options);
-  profile::configure(options);
-  telemetry::configure(options);
-  trace::configure(options);
-
+report::MetricsReport build_report(const report::BenchOptions& options) {
   report::MetricsReport rep("ablation_memsys");
   rep.add_note("HULK-V design-choice ablations");
   const batch::SweepEngine engine(options.jobs);
@@ -313,9 +301,11 @@ int main(int argc, char** argv) {
   latency_ladder(engine, rep);
   rep.add_note("E. Voltage/frequency corners (GF22 FDX):\n" +
                power::render_corner_table(power::PowerModel{}));
-  profile::finish_bench(rep, options);
-  report::finish_bench(rep, options);
-  telemetry::finish_bench(rep, options);
-  trace::finish_bench(options);
-  return 0;
+  return rep;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hulkv::report::run_bench(argc, argv, build_report);
 }

@@ -18,12 +18,8 @@
 #include "kernels/host_kernels.hpp"
 #include "power/energy.hpp"
 #include "power/power_model.hpp"
-#include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
-#include "telemetry/telemetry.hpp"
 #include "runtime/offload.hpp"
-#include "trace/trace.hpp"
 
 namespace {
 
@@ -92,18 +88,6 @@ Addr alloc_random_f32(core::HulkVSoc& soc, runtime::OffloadRuntime& rt,
   std::vector<float> data(count);
   for (auto& v : data) v = static_cast<float>(rng.next_range(-64, 64)) / 16.0f;
   soc.write_mem(p, data.data(), count * 4);
-  return p;
-}
-
-Addr alloc_random_f16(core::HulkVSoc& soc, runtime::OffloadRuntime& rt,
-                      Xoshiro256& rng, u64 count) {
-  const Addr p = rt.hulk_malloc(count * 2);
-  std::vector<u16> data(count);
-  for (auto& v : data) {
-    v = float_to_half_bits(static_cast<float>(rng.next_range(-64, 64)) /
-                           16.0f);
-  }
-  soc.write_mem(p, data.data(), count * 2);
   return p;
 }
 
@@ -287,16 +271,7 @@ Setup dotp_fp_case() {
   };
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  namespace report = hulkv::report;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
-  isa::configure_tier(options);
-  profile::configure(options);
-  telemetry::configure(options);
-  trace::configure(options);
-
+report::MetricsReport build_report(const report::BenchOptions&) {
   report::MetricsReport rep("fig6_speedup");
   rep.add_note("Fig. 6 — PMCA vs CVA6 speedup and energy efficiency. "
                "SoC: HyperRAM + LLC. x1 includes the lazy OpenMP code "
@@ -333,9 +308,11 @@ int main(int argc, char** argv) {
                    "max_speedup_x1000") + "x (paper: up to 112x); max PMCA "
                "efficiency " + rep.metric_text("max_pmca_gops_w") +
                " GOps/W (paper: up to 157)");
-  profile::finish_bench(rep, options);
-  report::finish_bench(rep, options);
-  telemetry::finish_bench(rep, options);
-  trace::finish_bench(options);
-  return 0;
+  return rep;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hulkv::report::run_bench(argc, argv, build_report);
 }

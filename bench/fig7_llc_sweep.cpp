@@ -26,11 +26,7 @@
 #include "batch/batch.hpp"
 #include "core/soc.hpp"
 #include "kernels/iot_benchmarks.hpp"
-#include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
-#include "telemetry/telemetry.hpp"
-#include "trace/trace.hpp"
 
 namespace {
 
@@ -97,16 +93,7 @@ Point run_stride(core::MainMemoryKind kind, bool llc, u32 stride) {
           static_cast<double>(run.cycles) / (double{kReads} * kRounds)};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  namespace report = hulkv::report;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
-  isa::configure_tier(options);
-  profile::configure(options);
-  telemetry::configure(options);
-  trace::configure(options);
-
+report::MetricsReport build_report(const report::BenchOptions& options) {
   report::MetricsReport rep("fig7_llc_sweep");
   rep.add_note("Fig. 7 — Sweep on Last Level Cache (synthetic benchmark). "
                "Primary sweep: cycles/read vs L1 miss ratio "
@@ -165,9 +152,11 @@ int main(int argc, char** argv) {
                "configuration tracks DDR4 at every miss ratio; without it, "
                "the gap grows with the miss ratio, and below ~50% L1 "
                "misses DDR4 brings no benefit over HyperRAM.");
-  profile::finish_bench(rep, options);
-  report::finish_bench(rep, options);
-  telemetry::finish_bench(rep, options);
-  trace::finish_bench(options);
-  return 0;
+  return rep;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hulkv::report::run_bench(argc, argv, build_report);
 }

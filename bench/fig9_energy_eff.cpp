@@ -23,10 +23,7 @@
 #include "kernels/iot_benchmarks.hpp"
 #include "power/energy.hpp"
 #include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
-#include "telemetry/telemetry.hpp"
-#include "trace/trace.hpp"
 
 namespace {
 
@@ -151,16 +148,7 @@ Runner dnn_runner(const apps::Network& network) {
   };
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  namespace report = hulkv::report;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
-  isa::configure_tier(options);
-  profile::configure(options);
-  telemetry::configure(options);
-  trace::configure(options);
-
+report::MetricsReport build_report(const report::BenchOptions&) {
   report::MetricsReport rep("fig9_energy_eff");
   rep.add_note("Fig. 9 — HULK-V energy efficiency vs CCR_hyper (HyperRAM "
                "hierarchy vs LPDDR4-equivalent; DNNs deployed with the "
@@ -243,9 +231,11 @@ int main(int argc, char** argv) {
                "reach the same GOps on both memories but ~2x the energy "
                "efficiency on the fully digital hierarchy; memory-bound "
                "workloads gain GOps from LPDDR4 bandwidth.");
-  profile::finish_bench(rep, options);
-  report::finish_bench(rep, options);
-  telemetry::finish_bench(rep, options);
-  trace::finish_bench(options);
-  return 0;
+  return rep;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hulkv::report::run_bench(argc, argv, build_report);
 }

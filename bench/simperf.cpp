@@ -8,7 +8,6 @@
 #include <array>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -28,6 +27,7 @@
 #include "isa/threaded.hpp"
 #include "report/report.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -415,8 +415,11 @@ BENCHMARK(BM_SnapshotDigest)->Unit(benchmark::kMillisecond);
 void BM_BatchSweep(benchmark::State& state) {
   // A small but real sweep (one SoC + host workload per point) at the
   // worker count given by the range argument. Comparing the /1 row to
-  // the /N row gives the measured batch scaling on this machine.
-  const u32 workers = static_cast<u32>(state.range(0));
+  // the /N row gives the measured batch scaling on this machine. The
+  // trace sink and the profiler are single-threaded, so an instrumented
+  // run sweeps every row on one worker (the workers counter says so).
+  const bool instrumented = trace::enabled() || profile::enabled();
+  const u32 workers = instrumented ? 1u : static_cast<u32>(state.range(0));
   const batch::SweepEngine engine(workers);
   constexpr u64 kPoints = 4;
   for (auto _ : state) {
@@ -480,45 +483,19 @@ class ReportCollector : public benchmark::BenchmarkReporter {
 
 int main(int argc, char** argv) {
   namespace report = hulkv::report;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
-  isa::configure_tier(options);
-  profile::configure(options);
-  telemetry::configure(options);
-
-  // Strip the shared bench flags before handing argv to google-benchmark
-  // (it rejects flags it does not know).
-  std::vector<char*> filtered;
-  filtered.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--json" || arg == "--trace" || arg == "--tier") {
-      ++i;
-      continue;
-    }
-    // Optional-value flags: only the = form carries a value.
-    if (arg == "--profile" || arg == "--telemetry") continue;
-    if (arg.rfind("--json=", 0) == 0 || arg.rfind("--trace=", 0) == 0 ||
-        arg.rfind("--tier=", 0) == 0 ||
-        arg.rfind("--profile=", 0) == 0 ||
-        arg.rfind("--telemetry=", 0) == 0) {
-      continue;
-    }
-    filtered.push_back(argv[i]);
-  }
-  int filtered_argc = static_cast<int>(filtered.size());
-  benchmark::Initialize(&filtered_argc, filtered.data());
-
-  report::MetricsReport rep("simperf");
-  rep.add_note("Simulator microbenchmarks (google-benchmark): ISS "
-               "throughput, cache-model and HyperRAM-model access rates.");
-  report::Table& table = rep.add_table(
-      "microbenchmarks",
-      {"benchmark", "iterations", "real_ns_per_iter", "cpu_ns_per_iter"});
-  ReportCollector collector(&rep, &table);
-  benchmark::RunSpecifiedBenchmarks(&collector);
-  benchmark::Shutdown();
-  profile::finish_bench(rep, options);
-  report::finish_bench(rep, options);
-  telemetry::finish_bench(rep, options);
-  return 0;
+  return report::run_bench(argc, argv, [&](const report::BenchOptions&) {
+    // run_bench stripped the shared bench flags: what is left in argv
+    // is google-benchmark's.
+    benchmark::Initialize(&argc, argv);
+    report::MetricsReport rep("simperf");
+    rep.add_note("Simulator microbenchmarks (google-benchmark): ISS "
+                 "throughput, cache-model and HyperRAM-model access rates.");
+    report::Table& table = rep.add_table(
+        "microbenchmarks",
+        {"benchmark", "iterations", "real_ns_per_iter", "cpu_ns_per_iter"});
+    ReportCollector collector(&rep, &table);
+    benchmark::RunSpecifiedBenchmarks(&collector);
+    benchmark::Shutdown();
+    return rep;
+  });
 }

@@ -1,19 +1,13 @@
 // Regenerates Table I: comparison with the state of the art.
 #include "core/comparison.hpp"
-#include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
-#include "telemetry/telemetry.hpp"
-#include "trace/trace.hpp"
 
-int main(int argc, char** argv) {
-  namespace report = hulkv::report;
+namespace {
+
+namespace report = hulkv::report;
+
+report::MetricsReport build_report(const report::BenchOptions&) {
   using hulkv::core::DeviceEntry;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
-  hulkv::isa::configure_tier(options);
-  hulkv::profile::configure(options);
-  hulkv::telemetry::configure(options);
-  hulkv::trace::configure(options);
 
   report::MetricsReport rep("table1_comparison");
   rep.add_note("Table I — comparison with the state of the art");
@@ -39,9 +33,11 @@ int main(int argc, char** argv) {
                      hulkv::core::comparison_table().size()));
   rep.add_metric("num_linux_capable", report::Value::uinteger(linux_capable));
   rep.add_metric("num_heterogeneous", report::Value::uinteger(heterogeneous));
-  hulkv::profile::finish_bench(rep, options);
-  report::finish_bench(rep, options);
-  hulkv::telemetry::finish_bench(rep, options);
-  hulkv::trace::finish_bench(options);
-  return 0;
+  return rep;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hulkv::report::run_bench(argc, argv, build_report);
 }

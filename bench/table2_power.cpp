@@ -1,20 +1,14 @@
 // Regenerates Table II (per-block area / leakage / dynamic power / fmax /
 // max power in GF22 FDX) and the Fig. 5 area accounting.
 #include "power/power_model.hpp"
-#include "profile/profile.hpp"
-#include "isa/threaded.hpp"
 #include "report/report.hpp"
-#include "telemetry/telemetry.hpp"
-#include "trace/trace.hpp"
 
-int main(int argc, char** argv) {
-  namespace report = hulkv::report;
+namespace {
+
+namespace report = hulkv::report;
+
+report::MetricsReport build_report(const report::BenchOptions&) {
   namespace power = hulkv::power;
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
-  hulkv::isa::configure_tier(options);
-  hulkv::profile::configure(options);
-  hulkv::telemetry::configure(options);
-  hulkv::trace::configure(options);
   const power::PowerModel model;
 
   report::MetricsReport rep("table2_power");
@@ -61,9 +55,11 @@ int main(int argc, char** argv) {
                "die area " + rep.metric_text("die_area_mm2") +
                " mm^2 (< 9 mm^2)");
   rep.add_note(power::render_floorplan(model));
-  hulkv::profile::finish_bench(rep, options);
-  report::finish_bench(rep, options);
-  hulkv::telemetry::finish_bench(rep, options);
-  hulkv::trace::finish_bench(options);
-  return 0;
+  return rep;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hulkv::report::run_bench(argc, argv, build_report);
 }

@@ -2,7 +2,7 @@
 // matrix multiplication offloaded to the PMCA via the OpenMP-style
 // runtime, verified against the host result and the golden model, with
 // the speedup and the lazy-code-load overhead reported.
-#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/log.hpp"
@@ -17,12 +17,9 @@
 
 using namespace hulkv;
 
-int main(int argc, char** argv) {
-  // `--trace out.json` records the full SoC event trace and writes a
-  // Perfetto/Chrome-loadable file (chrome://tracing or ui.perfetto.dev).
-  const report::BenchOptions options = report::parse_bench_args(argc, argv);
-  trace::configure(options);
+namespace {
 
+report::MetricsReport build_report(const report::BenchOptions& options) {
   const u32 m = 48, n = 48, k = 64;
   core::HulkVSoc soc;  // HyperRAM + LLC
   runtime::OffloadRuntime rt(&soc);
@@ -55,8 +52,6 @@ int main(int argc, char** argv) {
   const auto host_prog = kernels::host_matmul_i32(m, n, k);
   const auto host_run = kernels::run_host_program(
       soc, host_prog.words, std::array<u64, 3>{qa, qb, qc});
-  std::printf("CVA6 (int32 scalar):   %10llu cycles\n",
-              static_cast<unsigned long long>(host_run.cycles));
 
   // PMCA offload (int8 SIMD).
   const u32 tcdm = static_cast<u32>(mem::map::kTcdmBase);
@@ -71,38 +66,47 @@ int main(int argc, char** argv) {
 
   const auto cold = rt.offload(handle, args);
   const auto warm = rt.offload(handle, args);
-  std::printf("PMCA, first offload:   %10llu cycles "
-              "(lazy code load: %llu)\n",
-              static_cast<unsigned long long>(cold.total),
-              static_cast<unsigned long long>(cold.code_load));
-  std::printf("PMCA, warm offload:    %10llu cycles\n",
-              static_cast<unsigned long long>(warm.total));
-  std::printf("speedup: %.1fx cold, %.1fx warm\n",
-              static_cast<double>(host_run.cycles) / cold.total,
-              static_cast<double>(host_run.cycles) / warm.total);
 
   // Verify against the golden model and the host result.
   std::vector<i32> device_c(m * n), host_c(m * n), want(m * n);
   soc.read_mem(pc, device_c.data(), device_c.size() * 4);
   soc.read_mem(qc, host_c.data(), host_c.size() * 4);
   kernels::golden::matmul_i8(a, bt, want, m, n, k);
-  if (device_c != want) {
-    std::printf("FAIL: device result mismatch\n");
-    return 1;
-  }
-  if (host_c != want) {
-    std::printf("FAIL: host result mismatch\n");
-    return 1;
-  }
-  std::printf("verification: PMCA result == CVA6 result == golden model\n");
+  if (device_c != want) throw SimError("device result mismatch");
+  if (host_c != want) throw SimError("host result mismatch");
 
-  trace::finish_bench(options);
+  report::MetricsReport rep("offload_matmul");
+  rep.add_metric("cva6_int32_cycles", report::Value::uinteger(host_run.cycles),
+                 "cycles");
+  rep.add_metric("pmca_first_offload_cycles",
+                 report::Value::uinteger(cold.total), "cycles");
+  rep.add_metric("pmca_lazy_code_load_cycles",
+                 report::Value::uinteger(cold.code_load), "cycles");
+  rep.add_metric("pmca_warm_offload_cycles",
+                 report::Value::uinteger(warm.total), "cycles");
+  rep.add_metric("speedup_cold",
+                 report::Value::number(
+                     static_cast<double>(host_run.cycles) / cold.total, 1),
+                 "x");
+  rep.add_metric("speedup_warm",
+                 report::Value::number(
+                     static_cast<double>(host_run.cycles) / warm.total, 1),
+                 "x");
+  rep.add_note("verification: PMCA result == CVA6 result == golden model");
   if (!options.trace_path.empty()) {
     const auto& sink = trace::sink();
-    std::printf("trace: %zu events on %zu tracks -> %s "
-                "(open in chrome://tracing or ui.perfetto.dev)\n",
-                sink.events().size(), sink.track_names().size(),
-                options.trace_path.c_str());
+    rep.add_note("trace: " + std::to_string(sink.events().size()) +
+                 " events on " + std::to_string(sink.track_names().size()) +
+                 " tracks -> " + options.trace_path +
+                 " (open in chrome://tracing or ui.perfetto.dev)");
   }
-  return 0;
+  return rep;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // `--trace out.json` records the full SoC event trace and writes a
+  // Perfetto/Chrome-loadable file (chrome://tracing or ui.perfetto.dev).
+  return report::run_bench(argc, argv, build_report);
 }

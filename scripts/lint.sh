@@ -112,6 +112,42 @@ if [ "$tier_status" -ne 0 ]; then
 fi
 echo "threaded handler-table checks: OK"
 
+# Instrumentation front-end invariants (DESIGN.md §9) over the program
+# sources (src, bench, examples, tools):
+#  * events are recorded only through trace::Track — outside src/trace
+#    nothing resolves a track id by hand (`.resolve(`) or emits straight
+#    into the sink (`trace::sink().instant|complete|counter(`, or the
+#    same calls on a `sink` alias of it);
+#  * one Chrome-trace writer — the trace_event phase key "ph": is
+#    spelled only in src/trace/chrome_trace.cpp. perfbench/ is not
+#    scanned: perfbench/harness.cpp (Tracer::write_chrome_trace) still
+#    writes its own trace and is the one known exception.
+echo "== instrumentation front-end checks =="
+instr_status=0
+program_srcs=("$repo_root/src" "$repo_root/bench" "$repo_root/examples"
+              "$repo_root/tools")
+emit_pattern='\.resolve\(|trace::sink\(\)\.(instant|complete|counter)\(|\bsink\.(instant|complete|counter)\('
+if hits="$(grep -rnE "$emit_pattern" "${program_srcs[@]}" \
+    --include='*.cpp' --include='*.hpp' --include='*.cc' |
+    grep -v "^$repo_root/src/trace/")"; then
+  echo "$hits" >&2
+  echo "lint: trace events outside src/trace must go through trace::Track" >&2
+  instr_status=1
+fi
+if hits="$(grep -rn '\\"ph\\":' "${program_srcs[@]}" \
+    --include='*.cpp' --include='*.hpp' --include='*.cc' |
+    grep -v "^$repo_root/src/trace/chrome_trace.cpp:")"; then
+  echo "$hits" >&2
+  echo "lint: Chrome trace JSON is written only by" \
+       "src/trace/chrome_trace.cpp (trace::ChromeTraceWriter)" >&2
+  instr_status=1
+fi
+if [ "$instr_status" -ne 0 ]; then
+  echo "lint: FAILED (instrumentation front-end checks)"
+  exit 1
+fi
+echo "instrumentation front-end checks: OK"
+
 if command -v clang-tidy > /dev/null 2>&1; then
   if [ ! -f "$build_dir/compile_commands.json" ]; then
     echo "error: $build_dir/compile_commands.json not found." >&2

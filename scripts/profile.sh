@@ -14,9 +14,6 @@
 # View the folded stacks with either of the standard tools:
 #   flamegraph.pl <out-prefix>.folded > flame.svg
 #   speedscope <out-prefix>.folded      (or drag into speedscope.app)
-#
-# Profiling forces --jobs 1: the profiler accumulates into one global
-# session and refuses multi-worker batch runs.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -45,7 +42,7 @@ fi
 out_dir="$(cd "$(dirname "$out")" && pwd)"
 out="$out_dir/$(basename "$out")"
 
-"$build_dir/bench/$bench" --profile="$out" --jobs 1 "$@"
+"$build_dir/bench/$bench" --profile="$out" "$@"
 
 echo
 echo "profile.sh: view with"

@@ -202,9 +202,7 @@ Cluster::KernelResult Cluster::run_kernel(Cycles start_time, Addr entry,
   if (trace::enabled()) {
     // One `run` interval per team core (dispatch -> its own exit) plus a
     // dispatch marker on the event-unit track.
-    auto& sink = trace::sink();
-    sink.instant(sink.resolve(trace_track_, "event_unit"),
-                 trace::Ev::kDispatch, start_time, team_size, entry);
+    trace_track_.instant(trace::Ev::kDispatch, start_time, team_size, entry);
     for (u32 c = 0; c < team_size; ++c) {
       cores_[c]->trace_kernel_done(start_time + config_.dispatch_latency);
     }

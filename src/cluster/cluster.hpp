@@ -95,7 +95,7 @@ class Cluster {
   CoreScheduler sched_;  // runnable cores ordered by (cycle, core_id)
   std::vector<bool> at_barrier_;
   u32 team_size_ = 0;
-  trace::TrackHandle trace_track_;  // event-unit lane (dispatch markers)
+  trace::Track trace_track_{"event_unit"};  // dispatch markers
 };
 
 }  // namespace hulkv::cluster

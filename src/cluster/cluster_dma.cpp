@@ -57,12 +57,8 @@ u32 ClusterDma::start_1d(Cycles now, Addr dst, Addr src, u32 bytes) {
   jobs_.push_back(done);
   stats_.increment("jobs_1d");
   stats_.add("bytes", bytes);
-  if (trace::enabled()) {
-    auto& sink = trace::sink();
-    sink.complete(sink.resolve(trace_track_, stats_.name()),
-                  trace::Ev::kDmaJob, now, done, bytes,
-                  in_tcdm(dst, bytes) ? 1 : 0);
-  }
+  trace_track_.complete(trace::Ev::kDmaJob, now, done, bytes,
+                        in_tcdm(dst, bytes) ? 1 : 0);
   return static_cast<u32>(jobs_.size() - 1);
 }
 
@@ -82,12 +78,8 @@ u32 ClusterDma::start_2d(Cycles now, Addr dst, Addr src, u32 row_bytes,
   jobs_.push_back(t);
   stats_.increment("jobs_2d");
   stats_.add("bytes", static_cast<u64>(row_bytes) * rows);
-  if (trace::enabled()) {
-    auto& sink = trace::sink();
-    sink.complete(sink.resolve(trace_track_, stats_.name()),
-                  trace::Ev::kDmaJob, now, t,
-                  static_cast<u64>(row_bytes) * rows, to_tcdm ? 1 : 0);
-  }
+  trace_track_.complete(trace::Ev::kDmaJob, now, t,
+                        static_cast<u64>(row_bytes) * rows, to_tcdm ? 1 : 0);
   return static_cast<u32>(jobs_.size() - 1);
 }
 

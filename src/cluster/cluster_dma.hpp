@@ -59,7 +59,7 @@ class ClusterDma {
   std::vector<Cycles> jobs_;  // finish time per job id
   u32 retired_ = 0;
   StatGroup stats_;
-  trace::TrackHandle trace_track_;
+  trace::Track trace_track_{stats_.name()};
 };
 
 }  // namespace hulkv::cluster

@@ -29,14 +29,10 @@ Cycles EventUnit::release() {
   HULKV_CHECK(arrived_count_ == num_cores_, "barrier released early");
   stats_.increment("barriers");
   const Cycles wake = max_arrival_ + wakeup_latency_;
-  if (trace::enabled()) {
-    // Span from the first arrival (cores idling) to the wake-up; the
-    // arg carries the arrival skew for imbalance analysis.
-    auto& sink = trace::sink();
-    sink.complete(sink.resolve(trace_track_, stats_.name()),
-                  trace::Ev::kBarrier, first_arrival_, wake, num_cores_,
-                  max_arrival_ - first_arrival_);
-  }
+  // Span from the first arrival (cores idling) to the wake-up; the arg
+  // carries the arrival skew for imbalance analysis.
+  trace_track_.complete(trace::Ev::kBarrier, first_arrival_, wake,
+                        num_cores_, max_arrival_ - first_arrival_);
   arrived_count_ = 0;
   max_arrival_ = 0;
   first_arrival_ = 0;

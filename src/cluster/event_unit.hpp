@@ -50,7 +50,7 @@ class EventUnit {
   Cycles first_arrival_ = 0;  // for the trace: barrier span + skew
   std::vector<bool> arrived_;
   StatGroup stats_;
-  trace::TrackHandle trace_track_;
+  trace::Track trace_track_{stats_.name()};
 };
 
 }  // namespace hulkv::cluster

@@ -75,27 +75,17 @@ constexpr Cycles kStallThreshold = 8;
 
 void PmcaCore::trace_commit() {
   if (++pending_commits_ < kCommitBatchSize) return;
-  auto& sink = trace::sink();
-  sink.counter(sink.resolve(trace_track_, stats_.name()),
-               trace::Ev::kCommitBatch, cycle_, pending_commits_);
+  trace_track_.counter(trace::Ev::kCommitBatch, cycle_, pending_commits_);
   pending_commits_ = 0;
-}
-
-void PmcaCore::trace_stall(Cycles issue, Cycles stall, Addr addr) {
-  auto& sink = trace::sink();
-  sink.instant(sink.resolve(trace_track_, stats_.name()), trace::Ev::kStall,
-               issue, stall, addr);
 }
 
 void PmcaCore::trace_kernel_done(Cycles dispatched) {
   if (!trace::enabled()) return;
-  auto& sink = trace::sink();
-  const u32 track = sink.resolve(trace_track_, stats_.name());
   if (pending_commits_ > 0) {
-    sink.counter(track, trace::Ev::kCommitBatch, cycle_, pending_commits_);
+    trace_track_.counter(trace::Ev::kCommitBatch, cycle_, pending_commits_);
     pending_commits_ = 0;
   }
-  sink.complete(track, trace::Ev::kRun, dispatched, cycle_, instret_);
+  trace_track_.complete(trace::Ev::kRun, dispatched, cycle_, instret_);
 }
 
 void PmcaCore::reset_for_run(Addr entry) {
@@ -144,7 +134,7 @@ u32 PmcaCore::load(Addr addr, u32 bytes, bool sign, Cycles issue) {
     stats_.increment("demand_axi_loads");
   }
   if (trace::enabled() && cycle_ > issue + kStallThreshold) {
-    trace_stall(issue, cycle_ - issue, addr);
+    trace_track_.instant(trace::Ev::kStall, issue, cycle_ - issue, addr);
   }
   if (sign) value = static_cast<u32>(sign_extend(value, bytes * 8));
   return value;

@@ -193,7 +193,6 @@ class PmcaCore {
   };
 
   void trace_commit();
-  void trace_stall(Cycles issue, Cycles stall, Addr addr);
 
   PmcaCoreConfig config_;
   Tcdm* tcdm_;
@@ -213,7 +212,6 @@ class PmcaCore {
   u64& ctr_simd_ops_;
   u64& ctr_taken_branches_;
   u64& ctr_hwloop_backedges_;
-  trace::TrackHandle trace_track_;
   u32 pending_commits_ = 0;
 
   u32 x_[32] = {};
@@ -231,9 +229,11 @@ class PmcaCore {
   isa::ExecTier tier_ = isa::default_tier();
   isa::BlockCache blocks_;
   EnvHandler env_;
-  // Cold (touched once per run_slice(), not per instruction); kept last
-  // so it does not shift the execution-state members across cache lines.
+  // Cold (touched once per run_slice() or only while tracing, not per
+  // instruction); kept last so they do not shift the execution-state
+  // members across cache lines.
   profile::Handle prof_handle_;  // cycle-attribution registration
+  trace::Track trace_track_{stats_.name()};
 };
 
 /// Handler lookup for one op (null fn == retired by exec_slow()).

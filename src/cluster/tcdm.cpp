@@ -24,9 +24,7 @@ Tcdm::Tcdm(const TcdmConfig& config)
 
 void Tcdm::trace_access(Cycles now) {
   if (++pending_accesses_ < kAccessBatchSize) return;
-  auto& sink = trace::sink();
-  sink.counter(sink.resolve(trace_track_, stats_.name()),
-               trace::Ev::kAccessBatch, now, pending_accesses_);
+  trace_track_.counter(trace::Ev::kAccessBatch, now, pending_accesses_);
   pending_accesses_ = 0;
 }
 
@@ -46,11 +44,7 @@ Cycles Tcdm::access(Cycles now, Addr offset, u32 bytes) {
     const Cycles start = std::max(now, bank_free_[bank]);
     if (start > now) {
       ctr_conflicts_ += 1;
-      if (trace::enabled()) {
-        auto& sink = trace::sink();
-        sink.instant(sink.resolve(trace_track_, stats_.name()),
-                     trace::Ev::kConflict, now, bank, start - now);
-      }
+      trace_track_.instant(trace::Ev::kConflict, now, bank, start - now);
     }
     bank_free_[bank] = start + 1;
     done = std::max(done, start + 1);

@@ -62,7 +62,7 @@ class Tcdm {
   // Interned counter slots (hot path: every core load/store lands here).
   u64& ctr_accesses_;
   u64& ctr_conflicts_;
-  trace::TrackHandle trace_track_;
+  trace::Track trace_track_{stats_.name()};
   u32 pending_accesses_ = 0;
 };
 

@@ -124,6 +124,7 @@ bool Parser::apply_value(const Option& opt, const std::string& value) {
 
 bool Parser::parse(int argc, char** argv, OnUnknown policy) {
   error_.clear();
+  unknown_.clear();
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const Option* matched = nullptr;
@@ -149,7 +150,8 @@ bool Parser::parse(int argc, char** argv, OnUnknown policy) {
         error_ = program_ + ": unknown flag \"" + std::string(arg) + "\"";
         return false;
       }
-      continue;  // wrapped tool's flag (e.g. google-benchmark)
+      unknown_.push_back(argv[i]);  // a wrapped tool's (google-benchmark)
+      continue;
     }
     switch (matched->kind) {
       case Kind::kBool:

@@ -40,7 +40,7 @@ class Parser {
                              std::string* value, std::string help);
 
   enum class OnUnknown : u8 {
-    kIgnore,  // benches: unknown flags belong to a wrapped tool
+    kIgnore,  // benches: unknown flags belong to a wrapped tool (unknown())
     kError,   // tools: unknown flags are a usage error
   };
 
@@ -51,6 +51,9 @@ class Parser {
   bool parse(int argc, char** argv, OnUnknown policy = OnUnknown::kError);
 
   const std::string& error() const { return error_; }
+
+  /// The arguments the last kIgnore parse() did not consume, in order.
+  const std::vector<char*>& unknown() const { return unknown_; }
 
   /// Generated usage text: "usage: <program> [flags]" plus one aligned
   /// line per registered flag.
@@ -77,6 +80,7 @@ class Parser {
   std::string summary_;
   std::vector<Option> options_;
   std::string error_;
+  std::vector<char*> unknown_;
 };
 
 }  // namespace hulkv::cli

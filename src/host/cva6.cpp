@@ -138,9 +138,7 @@ u64 Cva6Core::load(Addr addr, u32 bytes, bool sign) {
                                     profile::claimed() - claimed_before));
   }
   if (trace::enabled() && cycle_ > issue + kStallThreshold) {
-    auto& sink = trace::sink();
-    sink.instant(sink.resolve(trace_track_, stats_.name()),
-                 trace::Ev::kStall, issue, cycle_ - issue, addr);
+    trace_track_.instant(trace::Ev::kStall, issue, cycle_ - issue, addr);
   }
   if (sign) value = sign_extend(value, bytes * 8);
   return value;
@@ -192,9 +190,7 @@ u64 Cva6Core::csr_read(u16 csr) const {
 
 void Cva6Core::trace_commit() {
   if (++pending_commits_ < kCommitBatchSize) return;
-  auto& sink = trace::sink();
-  sink.counter(sink.resolve(trace_track_, stats_.name()),
-               trace::Ev::kCommitBatch, cycle_, pending_commits_);
+  trace_track_.counter(trace::Ev::kCommitBatch, cycle_, pending_commits_);
   pending_commits_ = 0;
 }
 
@@ -226,14 +222,12 @@ Cva6Core::RunResult Cva6Core::run(u64 max_instructions) {
   if (trace::enabled()) {
     // Close the run interval and flush the commit remainder so windowed
     // commit totals equal instret exactly.
-    auto& sink = trace::sink();
-    const u32 track = sink.resolve(trace_track_, stats_.name());
     if (pending_commits_ > 0) {
-      sink.counter(track, trace::Ev::kCommitBatch, cycle_, pending_commits_);
+      trace_track_.counter(trace::Ev::kCommitBatch, cycle_, pending_commits_);
       pending_commits_ = 0;
     }
-    sink.complete(track, trace::Ev::kRun, start_cycle, cycle_,
-                  instret_ - start_instret);
+    trace_track_.complete(trace::Ev::kRun, start_cycle, cycle_,
+                          instret_ - start_instret);
   }
   return {cycle_ - start_cycle, instret_ - start_instret, exit_code_,
           exited_};

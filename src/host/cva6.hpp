@@ -214,7 +214,6 @@ class Cva6Core {
   u64& ctr_stores_;
   u64& ctr_taken_branches_;
   u64& ctr_branch_mispredicts_;
-  trace::TrackHandle trace_track_;
   u32 pending_commits_ = 0;
 
   u64 x_[32] = {};
@@ -232,9 +231,11 @@ class Cva6Core {
   isa::BlockCache blocks_;
   SyscallHandler syscall_;
   WfiHandler wfi_;
-  // Cold (touched once per run(), not per instruction); kept last so it
-  // does not shift the execution-state members across cache lines.
+  // Cold (touched once per run() or only while tracing, not per
+  // instruction); kept last so they do not shift the execution-state
+  // members across cache lines.
   profile::Handle prof_handle_;  // cycle-attribution registration
+  trace::Track trace_track_{stats_.name()};
 };
 
 /// Handler lookup for one op (null fn == retired by exec_slow()).

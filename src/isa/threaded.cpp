@@ -2,7 +2,6 @@
 
 #include "common/types.hpp"
 #include "isa/block_cache.hpp"
-#include "report/report.hpp"
 
 namespace hulkv::isa {
 
@@ -24,10 +23,6 @@ const char* tier_name(ExecTier tier) {
 void set_default_tier(ExecTier tier) { g_default_tier = tier; }
 
 ExecTier default_tier() { return g_default_tier; }
-
-void configure_tier(const report::BenchOptions& options) {
-  if (!options.tier.empty()) set_default_tier(parse_tier(options.tier));
-}
 
 namespace threaded {
 

@@ -23,10 +23,6 @@
 
 #include "isa/instr.hpp"
 
-namespace hulkv::report {
-struct BenchOptions;
-}  // namespace hulkv::report
-
 namespace hulkv::isa {
 
 struct DecodedBlock;
@@ -46,9 +42,6 @@ const char* tier_name(ExecTier tier);
 /// Cva6Core::set_tier / PmcaCore::set_tier.
 void set_default_tier(ExecTier tier);
 ExecTier default_tier();
-
-/// Apply a bench command line's --tier (no-op when the flag is absent).
-void configure_tier(const report::BenchOptions& options);
 
 namespace threaded {
 

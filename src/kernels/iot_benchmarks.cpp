@@ -1,6 +1,11 @@
 #include "kernels/iot_benchmarks.hpp"
 
+#include <string>
+
+#include "common/rng.hpp"
 #include "isa/assembler.hpp"
+#include "kernels/golden.hpp"
+#include "kernels/host_kernels.hpp"
 
 namespace hulkv::kernels {
 
@@ -271,6 +276,98 @@ KernelProgram host_pointer_chase(u32 count) {
   a.li(a7, 93);
   a.ecall();
   return finish_program("chase", Precision::kInt32, a, count);
+}
+
+namespace {
+
+// Catalogue footprints at scale 1.
+constexpr u32 kCrcBytes = 16 * 1024;
+constexpr u32 kFirSamples = 4096;
+constexpr u32 kFirTaps = 32;
+constexpr u32 kSortElems = 4096;
+constexpr u32 kHistBytes = 24 * 1024;
+constexpr u32 kSearchBytes = 24 * 1024;
+constexpr u32 kNeedleBytes = 8;
+
+constexpr const char* kIotNames[kNumIotWorkloads] = {
+    "crc32", "fir", "sort", "histogram", "strsearch"};
+
+void check_iot_workload(u8 id) {
+  if (id >= kNumIotWorkloads) {
+    throw SimError("unknown IoT workload id " + std::to_string(id));
+  }
+}
+
+}  // namespace
+
+const char* iot_workload_name(u8 id) {
+  check_iot_workload(id);
+  return kIotNames[id];
+}
+
+KernelProgram iot_program(u8 id, u32 scale) {
+  check_iot_workload(id);
+  switch (id) {
+    case 0: return host_crc32(kCrcBytes * scale);
+    case 1: return host_fir_i32(kFirSamples * scale, kFirTaps);
+    case 2: return host_shell_sort(kSortElems * scale);
+    case 3: return host_histogram(kHistBytes * scale);
+    default: return host_strsearch(kSearchBytes * scale, kNeedleBytes);
+  }
+}
+
+IotWorkload setup_iot_workload(u8 id, u32 scale, core::HulkVSoc& soc) {
+  KernelProgram program = iot_program(id, scale);
+  Xoshiro256 rng(id + 1u);
+  const Addr base = core::layout::kSharedBase;
+  switch (id) {
+    case 0: {  // crc32: streaming reads + table lookups
+      const u32 n = kCrcBytes * scale;
+      std::vector<u8> data(n);
+      for (auto& b : data) b = static_cast<u8>(rng.next());
+      const auto table = golden::crc32_table();
+      const Addr pt = base + n;
+      soc.write_mem(base, data.data(), n);
+      soc.write_mem(pt, table.data(), 1024);
+      return {std::move(program), {base, pt, pt + 1024}};
+    }
+    case 1: {  // fir: dense compute over a sliding window
+      const u32 n = kFirSamples * scale;
+      std::vector<i32> x(n), h(kFirTaps);
+      for (auto& v : x) v = static_cast<i32>(rng.next_range(-1000, 1000));
+      for (auto& v : h) v = static_cast<i32>(rng.next_range(-16, 16));
+      const Addr ph = base + n * 4;
+      soc.write_mem(base, x.data(), n * 4);
+      soc.write_mem(ph, h.data(), kFirTaps * 4);
+      return {std::move(program), {base, ph, ph + kFirTaps * 4}};
+    }
+    case 2: {  // sort: strided, data-dependent accesses
+      const u32 n = kSortElems * scale;
+      std::vector<i32> data(n);
+      for (auto& v : data) {
+        v = static_cast<i32>(rng.next_range(-1000000, 1000000));
+      }
+      soc.write_mem(base, data.data(), n * 4);
+      return {std::move(program), {base}};
+    }
+    case 3: {  // histogram: streaming reads + scattered RMW
+      const u32 n = kHistBytes * scale;
+      std::vector<u8> data(n);
+      for (auto& b : data) b = static_cast<u8>(rng.next());
+      soc.write_mem(base, data.data(), n);
+      return {std::move(program), {base, base + n}};
+    }
+    default: {  // strsearch: branchy text scan
+      const u32 n = kSearchBytes * scale;
+      std::vector<u8> hay(n);
+      for (auto& b : hay) b = static_cast<u8>('a' + rng.next_below(4));
+      const std::string needle = "abcdabcd";
+      const Addr pn = base + n;
+      soc.write_mem(base, hay.data(), n);
+      soc.write_mem(pn, needle.data(), kNeedleBytes);
+      return {std::move(program), {base, pn, pn + 64}};
+    }
+  }
 }
 
 }  // namespace hulkv::kernels

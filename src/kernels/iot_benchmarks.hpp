@@ -15,6 +15,8 @@
 // L1/LLC/DRAM behaviour is real, not synthetic.
 #pragma once
 
+#include <vector>
+
 #include "kernels/kernel.hpp"
 
 namespace hulkv::kernels {
@@ -64,5 +66,33 @@ KernelProgram host_mixed_reads(u32 miss_slots, u32 footprint, u32 count,
 /// The caller must have written the pointer ring (u64 absolute addresses)
 /// beforehand. Args: a0 = address of the first pointer.
 KernelProgram host_pointer_chase(u32 count);
+
+/// The five IoT benchmarks above as one catalogue of ready-to-run
+/// workloads, ids 0..4: crc32, fir (host_fir_i32, 32 taps), sort,
+/// histogram, strsearch (8-byte needle). Fig. 8 and the serve daemon
+/// run the same programs on the same data (fixed seed id + 1, inputs
+/// from core::layout::kSharedBase); only the footprint differs.
+inline constexpr u8 kNumIotWorkloads = 5;
+
+/// Stable lowercase name of catalogue workload `id` ("crc32", ...).
+const char* iot_workload_name(u8 id);
+
+/// Footprint scale 1: 16 KiB crc32 input, 4096 fir samples, 4096 sort
+/// elements, 24 KiB histogram and strsearch inputs (milliseconds of
+/// simulation, the serve daemon's size). Every footprint grows
+/// linearly with `scale`; Fig. 8 runs at 4, where the histogram input
+/// (96 KiB) still fits the 128 kB LLC.
+KernelProgram iot_program(u8 id, u32 scale);
+
+/// A catalogue workload instantiated on a SoC.
+struct IotWorkload {
+  KernelProgram program;
+  std::vector<u64> args;
+};
+
+/// Write workload `id`'s input data into `soc` and return its program
+/// and argument registers. Deterministic: fixed sizes, fixed seeds.
+/// Throws SimError on an unknown id.
+IotWorkload setup_iot_workload(u8 id, u32 scale, core::HulkVSoc& soc);
 
 }  // namespace hulkv::kernels

@@ -140,9 +140,7 @@ constexpr u32 kHitBatchSize = 256;
 
 void CacheModel::trace_hit(Cycles now) {
   if (++pending_hits_ < kHitBatchSize) return;
-  auto& sink = trace::sink();
-  sink.counter(sink.resolve(trace_track_, stats_.name()),
-               trace::Ev::kHitBatch, now, pending_hits_);
+  trace_track_.counter(trace::Ev::kHitBatch, now, pending_hits_);
   pending_hits_ = 0;
 }
 
@@ -183,11 +181,7 @@ Cycles CacheModel::access_line(Cycles now, Addr line_addr, bool is_write) {
   }
 
   ctr_misses_ += 1;
-  if (trace::enabled()) {
-    auto& sink = trace::sink();
-    sink.instant(sink.resolve(trace_track_, stats_.name()),
-                 trace::Ev::kMiss, now, line_addr, is_write ? 1 : 0);
-  }
+  trace_track_.instant(trace::Ev::kMiss, now, line_addr, is_write ? 1 : 0);
   if (is_write && !config_.write_allocate) {
     // Write miss, no allocate: forward the write downstream.
     const profile::SuppressGuard mute;
@@ -207,11 +201,7 @@ Cycles CacheModel::access_line(Cycles now, Addr line_addr, bool is_write) {
   Cycles t = now + config_.hit_latency;  // tag lookup before the miss
   if (victim.valid && victim.dirty) {
     ctr_writebacks_ += 1;
-    if (trace::enabled()) {
-      auto& sink = trace::sink();
-      sink.instant(sink.resolve(trace_track_, stats_.name()),
-                   trace::Ev::kWriteback, t, victim.line_addr);
-    }
+    trace_track_.instant(trace::Ev::kWriteback, t, victim.line_addr);
     t = next_->access(t, victim.line_addr, config_.line_bytes,
                       /*is_write=*/true);
   }

@@ -145,7 +145,7 @@ class CacheModel final : public MemTiming {
   u64& ctr_wt_words_;
   // Tracing: lazily registered swimlane plus the L1-hit batch counter
   // (hits are too frequent for per-event records; see DESIGN.md §9).
-  trace::TrackHandle trace_track_;
+  trace::Track trace_track_{stats_.name()};
   u32 pending_hits_ = 0;
 };
 

@@ -47,14 +47,11 @@ class Ddr4Model final : public MemTiming {
     // The data bus is occupied for the transfer only; latency pipelines.
     busy_until_ = start + beats;
     ctr_busy_cycles_ += beats;
-    if (trace::enabled()) {
-      auto& sink = trace::sink();
-      trace::XactArg xarg;
-      xarg.write = is_write;
-      xarg.bursts = static_cast<u32>(beats);  // DDR data beats
-      sink.complete(sink.resolve(trace_track_, stats_.name()),
-                    trace::Ev::kMemXact, start, busy_until_, bytes,
-                    trace::pack_xact_arg(xarg));
+    if (trace::enabled()) {  // the burst count is the DDR data beats
+      trace_track_.complete(
+          trace::Ev::kMemXact, start, busy_until_, bytes,
+          trace::pack_xact_arg(
+              {.write = is_write, .bursts = static_cast<u32>(beats)}));
     }
     return done;
   }
@@ -84,7 +81,7 @@ class Ddr4Model final : public MemTiming {
   u64& ctr_bytes_read_;
   u64& ctr_bytes_written_;
   u64& ctr_busy_cycles_;
-  trace::TrackHandle trace_track_;
+  trace::Track trace_track_{stats_.name()};
 };
 
 }  // namespace hulkv::mem

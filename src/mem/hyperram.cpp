@@ -51,16 +51,14 @@ Cycles HyperRamModel::access(Cycles now, Addr addr, u32 bytes,
   }
   busy_until_ = t;
   ctr_busy_cycles_ += t - start;
-  if (trace::enabled()) {
-    auto& sink = trace::sink();
-    trace::XactArg xarg;
-    xarg.write = is_write;
-    xarg.bursts = static_cast<u32>(ctr_bursts_ - bursts_before);
-    xarg.refresh_collisions =
-        static_cast<u32>(ctr_refresh_collisions_ - refresh_before);
-    sink.complete(sink.resolve(trace_track_, stats_.name()),
-                  trace::Ev::kMemXact, start, t, bytes,
-                  trace::pack_xact_arg(xarg));
+  if (trace::enabled()) {  // the arg packing stays off the untraced path
+    trace_track_.complete(
+        trace::Ev::kMemXact, start, t, bytes,
+        trace::pack_xact_arg(
+            {.write = is_write,
+             .bursts = static_cast<u32>(ctr_bursts_ - bursts_before),
+             .refresh_collisions = static_cast<u32>(ctr_refresh_collisions_ -
+                                                    refresh_before)}));
   }
   return t;
 }
@@ -75,13 +73,9 @@ Cycles HyperRamModel::burst(Cycles start, u32 bytes, bool is_write) {
   if (start >= next_refresh_) {
     bus_clocks += config_.refresh_extra_bus_clk;
     ctr_refresh_collisions_ += 1;
-    if (trace::enabled()) {
-      auto& sink = trace::sink();
-      sink.instant(
-          sink.resolve(trace_track_, stats_.name()),
-          trace::Ev::kRefreshCollision, start,
-          static_cast<Cycles>(config_.refresh_extra_bus_clk) * config_.clk_div);
-    }
+    trace_track_.instant(
+        trace::Ev::kRefreshCollision, start,
+        static_cast<Cycles>(config_.refresh_extra_bus_clk) * config_.clk_div);
     while (next_refresh_ <= start) next_refresh_ += config_.refresh_period;
   }
 

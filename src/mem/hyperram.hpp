@@ -89,7 +89,7 @@ class HyperRamModel final : public MemTiming {
   u64& ctr_busy_cycles_;
   u64& ctr_bursts_;
   u64& ctr_refresh_collisions_;
-  trace::TrackHandle trace_track_;
+  trace::Track trace_track_{stats_.name()};
 };
 
 }  // namespace hulkv::mem

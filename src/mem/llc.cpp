@@ -37,11 +37,7 @@ Cycles Llc::access(Cycles now, Addr addr, u32 bytes, bool is_write) {
   if (addr < config_.cacheable_base ||
       addr >= config_.cacheable_base + config_.cacheable_size) {
     ctr_bypass_ += 1;
-    if (trace::enabled()) {
-      auto& sink = trace::sink();
-      sink.instant(sink.resolve(trace_track_, stats_.name()),
-                   trace::Ev::kBypass, now, addr, is_write ? 1 : 0);
-    }
+    trace_track_.instant(trace::Ev::kBypass, now, addr, is_write ? 1 : 0);
     return ext_access(ext_mem_, now, addr, bytes, is_write);
   }
 
@@ -62,11 +58,7 @@ Cycles Llc::access_line(Cycles now, Addr line_addr, bool is_write) {
 
   if (tags_.lookup(line_addr)) {
     ctr_hits_ += 1;
-    if (trace::enabled()) {
-      auto& sink = trace::sink();
-      sink.instant(sink.resolve(trace_track_, stats_.name()),
-                   trace::Ev::kHit, now, line_addr, is_write ? 1 : 0);
-    }
+    trace_track_.instant(trace::Ev::kHit, now, line_addr, is_write ? 1 : 0);
     if (is_write) tags_.mark_dirty(line_addr);
     profile::add(profile::Reason::kLlcWait,
                  t + config_.hit_latency - now);
@@ -74,20 +66,12 @@ Cycles Llc::access_line(Cycles now, Addr line_addr, bool is_write) {
   }
 
   ctr_misses_ += 1;
-  if (trace::enabled()) {
-    auto& sink = trace::sink();
-    sink.instant(sink.resolve(trace_track_, stats_.name()),
-                 trace::Ev::kMiss, now, line_addr, is_write ? 1 : 0);
-  }
+  trace_track_.instant(trace::Ev::kMiss, now, line_addr, is_write ? 1 : 0);
   const SetAssocTags::Victim victim = tags_.fill(line_addr);
   if (victim.valid && victim.dirty) {
     // Eviction: AXI write transaction on the output port.
     ctr_evictions_ += 1;
-    if (trace::enabled()) {
-      auto& sink = trace::sink();
-      sink.instant(sink.resolve(trace_track_, stats_.name()),
-                   trace::Ev::kEvict, t, victim.line_addr);
-    }
+    trace_track_.instant(trace::Ev::kEvict, t, victim.line_addr);
     t = ext_access(ext_mem_, t, victim.line_addr, config_.line_bytes(),
                    /*is_write=*/true);
   }

@@ -76,7 +76,7 @@ class Llc final : public MemTiming {
   u64& ctr_hits_;
   u64& ctr_misses_;
   u64& ctr_evictions_;
-  trace::TrackHandle trace_track_;
+  trace::Track trace_track_{stats_.name()};
 };
 
 }  // namespace hulkv::mem

@@ -38,16 +38,14 @@ Cycles RpcDramModel::access(Cycles now, Addr addr, u32 bytes,
   }
   busy_until_ = t;
   stats_.add("busy_cycles", t - start);
-  if (trace::enabled()) {
-    auto& sink = trace::sink();
-    trace::XactArg xarg;
-    xarg.write = is_write;
-    xarg.bursts = static_cast<u32>(stats_.get("bursts") - bursts_before);
-    xarg.refresh_collisions =
-        static_cast<u32>(stats_.get("refresh_collisions") - refresh_before);
-    sink.complete(sink.resolve(trace_track_, stats_.name()),
-                  trace::Ev::kMemXact, start, t, bytes,
-                  trace::pack_xact_arg(xarg));
+  if (trace::enabled()) {  // the arg packing stays off the untraced path
+    trace_track_.complete(
+        trace::Ev::kMemXact, start, t, bytes,
+        trace::pack_xact_arg(
+            {.write = is_write,
+             .bursts = static_cast<u32>(stats_.get("bursts") - bursts_before),
+             .refresh_collisions = static_cast<u32>(
+                 stats_.get("refresh_collisions") - refresh_before)}));
   }
   return t;
 }

@@ -73,7 +73,7 @@ class RpcDramModel final : public MemTiming {
   Cycles next_refresh_;
   std::vector<i64> open_row_;  // -1 = closed
   StatGroup stats_;
-  trace::TrackHandle trace_track_;
+  trace::Track trace_track_{stats_.name()};
 };
 
 }  // namespace hulkv::mem

@@ -54,11 +54,7 @@ Cycles Udma::transfer_1d(Cycles now, Addr dst, Addr src, u64 bytes) {
   const Cycles done = ext_mem_->access(now + kSetupCycles, ext_addr,
                                        static_cast<u32>(bytes),
                                        /*is_write=*/from_l2);
-  if (trace::enabled()) {
-    auto& sink = trace::sink();
-    sink.complete(sink.resolve(trace_track_, stats_.name()),
-                  trace::Ev::kDmaJob, now, done, bytes, to_l2 ? 1 : 0);
-  }
+  trace_track_.complete(trace::Ev::kDmaJob, now, done, bytes, to_l2 ? 1 : 0);
   return done;
 }
 
@@ -81,12 +77,8 @@ Cycles Udma::transfer_2d(Cycles now, Addr dst, Addr src, u64 row_bytes,
   }
   stats_.increment("jobs_2d");
   stats_.add("bytes", row_bytes * rows);
-  if (trace::enabled()) {
-    auto& sink = trace::sink();
-    sink.complete(sink.resolve(trace_track_, stats_.name()),
-                  trace::Ev::kDmaJob, now, t, row_bytes * rows,
-                  to_l2 ? 1 : 0);
-  }
+  trace_track_.complete(trace::Ev::kDmaJob, now, t, row_bytes * rows,
+                        to_l2 ? 1 : 0);
   return t;
 }
 

@@ -54,7 +54,7 @@ class Udma {
   Addr l2_base_;
   Addr dram_base_;
   StatGroup stats_;
-  trace::TrackHandle trace_track_;
+  trace::Track trace_track_{stats_.name()};
 };
 
 }  // namespace hulkv::mem

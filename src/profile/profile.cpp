@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -120,6 +119,14 @@ void CoreProfile::end_instr(const isa::DecodedBlock& block, size_t index,
   }
 }
 
+CoreProfile::CoreProfile(std::string name) : name_(std::move(name)) {
+  stall_tracks_.reserve(kNumReasons);
+  for (size_t i = 0; i < kNumReasons; ++i) {
+    stall_tracks_.emplace_back(name_ + ".stall." +
+                               reason_name(static_cast<Reason>(i)));
+  }
+}
+
 u64 CoreProfile::total_stalls() const {
   u64 total = 0;
   for (const u64 v : reason_totals_) total += v;
@@ -128,13 +135,9 @@ u64 CoreProfile::total_stalls() const {
 
 void CoreProfile::flush_trace_counters(Cycles now) {
   if (pending_sum_ == 0) return;
-  auto& sink = trace::sink();
   for (size_t i = 0; i < kNumReasons; ++i) {
     if (pending_[i] == 0) continue;
-    const std::string track =
-        name_ + ".stall." + reason_name(static_cast<Reason>(i));
-    sink.counter(sink.track(track), trace::Ev::kStallCycles, now,
-                 pending_[i]);
+    stall_tracks_[i].counter(trace::Ev::kStallCycles, now, pending_[i]);
     pending_[i] = 0;
   }
   pending_sum_ = 0;
@@ -421,42 +424,9 @@ std::string Session::check_conservation() const {
   return {};
 }
 
-// ---------------------------------------------------------------------------
-// Bench wiring
-
 void note_gap(std::string_view core_name, Reason r) {
   if (!enabled()) return;
   session().core(core_name)->note_gap(r);
-}
-
-void configure(const report::BenchOptions& options) {
-  if (!options.profile) return;
-  Session& s = session();
-  s.reset();
-  s.enable();
-}
-
-void finish_bench(report::MetricsReport& rep,
-                  const report::BenchOptions& options) {
-  if (!options.profile) return;
-  Session& s = session();
-  s.flush_trace_counters();
-  const std::string err = s.check_conservation();
-  HULKV_CHECK(err.empty(), "profile conservation violated: " + err);
-  s.add_report_tables(rep);
-  if (!options.profile_path.empty()) {
-    const std::string folded_path = options.profile_path + ".folded";
-    const std::string annotated_path =
-        options.profile_path + ".annotated.txt";
-    std::ofstream folded(folded_path);
-    HULKV_CHECK(folded.good(), "cannot write " + folded_path);
-    s.write_folded(folded);
-    std::ofstream annotated(annotated_path);
-    HULKV_CHECK(annotated.good(), "cannot write " + annotated_path);
-    s.write_annotated(annotated);
-    std::printf("[profile] wrote %s and %s\n", folded_path.c_str(),
-                annotated_path.c_str());
-  }
 }
 
 }  // namespace hulkv::profile

@@ -34,10 +34,10 @@
 #include "common/types.hpp"
 #include "isa/block_cache.hpp"
 #include "profile/attr.hpp"
+#include "trace/trace.hpp"
 
 namespace hulkv::report {
 class MetricsReport;
-struct BenchOptions;
 }  // namespace hulkv::report
 
 namespace hulkv::profile {
@@ -62,7 +62,7 @@ struct BlockProfile {
 /// Per-core profile: the instruction bracket plus the block table.
 class CoreProfile {
  public:
-  explicit CoreProfile(std::string name) : name_(std::move(name)) {}
+  explicit CoreProfile(std::string name);
 
   /// Open the bracket for one instruction. `now` is the core clock
   /// before fetch timing; any gap since the previous end_instr() is an
@@ -111,13 +111,15 @@ class CoreProfile {
   // deterministic; the hot path goes through the memoized last block.
   std::map<Addr, BlockProfile> blocks_;
   BlockProfile* memo_ = nullptr;
-  // Per-reason Perfetto counter batching (only when tracing is on).
+  // Per-reason Perfetto counter batching (only when tracing is on), one
+  // "<core>.stall.<reason>" track per reason.
+  std::vector<trace::Track> stall_tracks_;
   u64 pending_[kNumReasons] = {};
   u64 pending_sum_ = 0;
 };
 
-/// Cached core-profile registration, resolved per run/slice (mirrors
-/// trace::TrackHandle). Invalidated by Session::reset().
+/// Cached core-profile registration, resolved per run/slice. Invalidated
+/// by Session::reset().
 struct Handle {
   CoreProfile* core = nullptr;
   u32 gen = 0;
@@ -208,14 +210,5 @@ inline CoreProfile* attach(Handle& h, std::string_view name) {
 
 /// Note an out-of-band gap reason for a core by name (no-op when off).
 void note_gap(std::string_view core_name, Reason r);
-
-/// Bench wiring: reset + enable the session when --profile was given.
-void configure(const report::BenchOptions& options);
-
-/// Bench wiring: when --profile was given, verify conservation, append
-/// the attribution tables to `rep`, and write `<out>.folded` +
-/// `<out>.annotated.txt` when --profile=<out> carried a path.
-void finish_bench(report::MetricsReport& rep,
-                  const report::BenchOptions& options);
 
 }  // namespace hulkv::profile

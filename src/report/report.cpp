@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 
-#include "common/cli.hpp"
 #include "common/json_quote.hpp"
 
 namespace hulkv::report {
@@ -221,47 +217,6 @@ void MetricsReport::write_json(const std::string& path) const {
   if (!out) throw SimError("cannot open report output file: " + path);
   out << to_json();
   if (!out) throw SimError("failed writing report file: " + path);
-}
-
-BenchOptions parse_bench_args(int argc, char** argv) {
-  BenchOptions options;
-  cli::Parser parser = bench_flag_parser("bench", &options);
-  // Unknown flags belong to the wrapped tool (e.g. google-benchmark);
-  // a malformed value on one of *our* flags is still a hard error.
-  if (!parser.parse(argc, argv, cli::Parser::OnUnknown::kIgnore)) {
-    throw SimError(parser.error());
-  }
-  return options;
-}
-
-cli::Parser bench_flag_parser(const std::string& program,
-                              BenchOptions* options) {
-  cli::Parser parser(program);
-  parser
-      .add_string("--json", &options->json_path,
-                  "write the report as BENCH-style JSON to this path")
-      .add_string("--trace", &options->trace_path,
-                  "write a Perfetto/Chrome event trace to this path")
-      .add_u32("--jobs", &options->jobs,
-               "sweep worker count (0 = hardware concurrency)")
-      .add_string("--tier", &options->tier,
-                  "execution tier: interp | threaded")
-      .add_optional_value("--profile", &options->profile,
-                          &options->profile_path,
-                          "cycle-attribution profiler (=PATH writes "
-                          ".folded/.annotated.txt)")
-      .add_optional_value("--telemetry", &options->telemetry,
-                          &options->telemetry_dir,
-                          "append a run manifest (=DIR overrides runs/)");
-  return parser;
-}
-
-void finish_bench(const MetricsReport& report, const BenchOptions& options) {
-  std::cout << report.to_text();
-  if (!options.json_path.empty()) {
-    report.write_json(options.json_path);
-    std::cout << "\n[report] wrote " << options.json_path << "\n";
-  }
 }
 
 }  // namespace hulkv::report

@@ -9,11 +9,11 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "common/cli.hpp"
 #include "common/types.hpp"
 
 namespace hulkv::report {
@@ -121,12 +121,14 @@ class MetricsReport {
 /// Shared bench command line: --json <path> / --trace <path> /
 /// --jobs <n> / --profile[=<path>] / --telemetry[=<dir>] /
 /// --tier <interp|threaded> (also the --flag=value spellings for the
-/// value-taking flags). Unknown arguments are ignored so wrappers like
-/// google-benchmark keep their own flags.
+/// value-taking flags).
 struct BenchOptions {
   std::string json_path;
+  /// Perfetto/Chrome event trace (trace/chrome_trace.hpp).
   std::string trace_path;
-  /// Sweep worker count (batch::SweepEngine); 0 = hardware concurrency.
+  /// Sweep worker count (batch::SweepEngine); 0 = hardware concurrency,
+  /// except that a run with --trace or --profile defaults to 1 (the
+  /// trace sink and the profiler are single-threaded).
   u32 jobs = 0;
   /// Cycle-attribution profiler (hulkv::profile). Bare --profile prints
   /// the report tables only; --profile=<path> additionally writes
@@ -139,22 +141,33 @@ struct BenchOptions {
   /// overrides the directory. Never touches stdout.
   bool telemetry = false;
   std::string telemetry_dir;
-  /// Execution tier for both ISSs (isa::configure_tier): "interp" or
-  /// "threaded". Empty = keep the built-in default (threaded).
+  /// Execution tier for both ISSs: "interp" or "threaded". Empty = keep
+  /// the built-in default (threaded).
   std::string tier;
 };
-BenchOptions parse_bench_args(int argc, char** argv);
 
-/// The shared bench flag set as a cli::Parser over `options`, so other
-/// binaries (the serve daemon, the load generator) can stack their own
-/// flags on the same table instead of re-spelling --jobs/--tier/
-/// --json/--telemetry/--profile. parse_bench_args() is exactly this
-/// parser run with unknown flags ignored.
-cli::Parser bench_flag_parser(const std::string& program,
-                              BenchOptions* options);
+/// Parse the shared bench flags and remove them from argv (the
+/// benchmark::Initialize convention): on return argv[0..argc) is the
+/// program name followed by the arguments that are not bench flags —
+/// a wrapped tool's, such as google-benchmark's — in their order.
+/// Throws SimError on a malformed value.
+BenchOptions parse_bench_args(int& argc, char** argv);
 
-/// Emit the report: print text to stdout and, when --json was given,
-/// write the JSON file (and note where it went).
-void finish_bench(const MetricsReport& report, const BenchOptions& options);
+/// What a bench computes: its report, built from the parsed flags.
+using BenchBody = std::function<MetricsReport(const BenchOptions&)>;
+
+/// One bench run, start to finish. Parses the shared flags (leaving the
+/// rest in argc/argv for `body`); sets the execution tier and switches
+/// on the profiler, telemetry and the trace sink as asked; runs `body`;
+/// then finishes in the one order that works:
+///   1. profile: flush its stall counters into the trace sink, check
+///      conservation, append its tables to the report, write the
+///      .folded/.annotated.txt files;
+///   2. report: print the text to stdout, write the --json file;
+///   3. telemetry: append the run manifest built from the report;
+///   4. trace: write the Chrome trace, which now holds every event.
+/// A SimError anywhere becomes "error: <what>" on stderr and exit code
+/// 1 (no trace file is written). Returns the process exit code.
+int run_bench(int& argc, char** argv, const BenchBody& body);
 
 }  // namespace hulkv::report

@@ -117,11 +117,7 @@ Cycles OffloadRuntime::load_code(Image& image) {
   // an evict_all() displaces whatever previously occupied the range.
   profile::session().register_symbols(image.l2_addr, image.bytes,
                                       image.name, image.symbols);
-  if (trace::enabled()) {
-    auto& sink = trace::sink();
-    sink.complete(sink.resolve(trace_track_, "offload"),
-                  trace::Ev::kCodeLoad, start, t, image.bytes);
-  }
+  trace_track_.complete(trace::Ev::kCodeLoad, start, t, image.bytes);
   log(LogLevel::kDebug, "offload", "lazy-loaded '", image.name, "' to L2 in ",
       t - start, " cycles");
   return t - start;
@@ -161,9 +157,8 @@ OffloadRuntime::OffloadResult OffloadRuntime::offload(
                           mem::Master::kHost);
   }
   if (trace::enabled() && t > marshal_start) {
-    auto& sink = trace::sink();
-    sink.complete(sink.resolve(trace_track_, "offload"), trace::Ev::kMarshal,
-                  marshal_start, t, args.size() * 4);
+    trace_track_.complete(trace::Ev::kMarshal, marshal_start, t,
+                          args.size() * 4);
   }
 
   // 3. Doorbell: post the kernel id to the cluster mailbox.
@@ -172,11 +167,7 @@ OffloadRuntime::OffloadResult OffloadRuntime::offload(
                         &doorbell, 4, mem::Master::kHost);
   host.advance_to(t);
   (void)soc_->mailbox().pop_cluster();  // cluster runtime consumes it
-  if (trace::enabled()) {
-    auto& sink = trace::sink();
-    sink.instant(sink.resolve(trace_track_, "offload"), trace::Ev::kMailbox,
-                 t, doorbell);
-  }
+  trace_track_.instant(trace::Ev::kMailbox, t, doorbell);
 
   // 4. Event-unit dispatch + execution on the 8 cores.
   const auto kres = soc_->cluster().run_kernel(
@@ -205,13 +196,11 @@ OffloadRuntime::OffloadResult OffloadRuntime::offload(
                profile::own_share(result.total,
                                   profile::claimed() - claimed_before));
   if (trace::enabled()) {
-    auto& sink = trace::sink();
-    const u32 track = sink.resolve(trace_track_, "offload");
-    sink.complete(track, trace::Ev::kKernel, kres.start, kres.finish,
-                  kernel.index);
-    sink.instant(track, trace::Ev::kMailbox, kres.finish + kMailboxLatency,
-                 0xD07E);
-    sink.complete(track, trace::Ev::kOffload, t0, host.now(), kernel.index);
+    trace_track_.complete(trace::Ev::kKernel, kres.start, kres.finish,
+                          kernel.index);
+    trace_track_.instant(trace::Ev::kMailbox, kres.finish + kMailboxLatency,
+                         0xD07E);
+    trace_track_.complete(trace::Ev::kOffload, t0, host.now(), kernel.index);
   }
   return result;
 }

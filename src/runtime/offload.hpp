@@ -169,7 +169,7 @@ class OffloadRuntime {
   Arena tcdm_arena_;
   std::vector<Image> images_;
   std::vector<std::string> names_;
-  trace::TrackHandle trace_track_;  // "offload" runtime-phase lane
+  trace::Track trace_track_{"offload"};  // runtime-phase lane
 };
 
 }  // namespace hulkv::runtime

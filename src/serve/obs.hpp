@@ -174,8 +174,8 @@ class ServeObs {
 
   /// Steady/wall clock pair captured at construction: RequestTrace
   /// start_ns is relative to steady_anchor_ns(), and the kTrace export
-  /// carries both as its clock_anchor (the chrome_trace convention, so
-  /// serve spans correlate with the simulated-time track).
+  /// carries both as its clock_anchor (trace/chrome_trace.hpp, so serve
+  /// spans correlate with the simulated-time track).
   u64 steady_anchor_ns() const { return steady_anchor_ns_; }
   u64 wall_anchor_ns() const { return wall_anchor_ns_; }
 
@@ -192,7 +192,8 @@ class ServeObs {
                                 const Gauges& gauges) const;
 
   /// Perfetto-loadable trace of the undrained completed requests (the
-  /// kTrace payload). Draining: a record is returned exactly once.
+  /// kTrace payload; pid 3 of trace::ChromeTraceWriter). Draining: a
+  /// record is returned exactly once.
   std::string render_trace_json();
 
   /// Extended kStats member: {"<workload>":{"points":..,...},...}.

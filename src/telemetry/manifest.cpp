@@ -145,20 +145,4 @@ std::string append_manifest(const std::string& dir,
   return path;
 }
 
-void finish_bench(const report::MetricsReport& rep,
-                  const report::BenchOptions& options) {
-  if (!options.telemetry) return;
-  Registry& reg = registry();
-  const Manifest manifest = build_manifest(rep, reg);
-  const std::string dir =
-      options.telemetry_dir.empty() ? std::string("runs")
-                                    : options.telemetry_dir;
-  const std::string path = append_manifest(dir, manifest);
-  // stderr, not stdout: bench stdout must stay byte-identical with
-  // telemetry on or off (pinned by determinism_test).
-  std::fprintf(stderr, "[telemetry] appended run manifest to %s\n",
-               path.c_str());
-  reg.disable();
-}
-
 }  // namespace hulkv::telemetry

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <mutex>
 
-#include "report/report.hpp"
 #include "snapshot/archive.hpp"
 
 namespace hulkv::telemetry {
@@ -197,13 +196,6 @@ void note_program(std::string_view name, const void* words, u64 bytes) {
   if (!enabled()) return;
   registry().note_program_digest(
       name, snapshot::fnv1a(snapshot::kFnvOffset, words, bytes));
-}
-
-void configure(const report::BenchOptions& options) {
-  if (!options.telemetry) return;
-  Registry& reg = registry();
-  reg.reset();
-  reg.enable();
 }
 
 }  // namespace hulkv::telemetry

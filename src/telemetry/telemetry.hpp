@@ -30,11 +30,6 @@
 #include "common/types.hpp"
 #include "telemetry/histogram.hpp"
 
-namespace hulkv::report {
-class MetricsReport;
-struct BenchOptions;
-}  // namespace hulkv::report
-
 namespace hulkv::telemetry {
 
 /// Simulator phases a span can cover. Order is the manifest/report
@@ -190,16 +185,5 @@ class Span {
 /// Convenience: digest a guest-program image (FNV-1a over the words)
 /// and note it in the registry under `name`. No-op while disabled.
 void note_program(std::string_view name, const void* words, u64 bytes);
-
-/// Bench wiring: reset + enable the registry when --telemetry was
-/// given.
-void configure(const report::BenchOptions& options);
-
-/// Bench wiring: when --telemetry was given, flush spans, build the
-/// run manifest from `rep` + the registry, and append it as one JSON
-/// line to `<dir>/<bench>.jsonl` (dir from --telemetry=<dir>, default
-/// "runs"). Writes a note to stderr only — stdout stays byte-identical.
-void finish_bench(const report::MetricsReport& rep,
-                  const report::BenchOptions& options);
 
 }  // namespace hulkv::telemetry

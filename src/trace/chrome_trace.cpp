@@ -14,26 +14,34 @@ namespace hulkv::trace {
 
 namespace {
 
-/// Format a cycle timestamp in microseconds. With the default 1 cycle =
-/// 1 us mapping this prints exact integers.
-void write_us(std::ostream& os, Cycles cycles, double cycles_per_us) {
-  if (cycles_per_us == 1.0) {
-    os << cycles;
-    return;
-  }
+constexpr u32 kSimPid = 1;
+
+/// Identity of a wall-clock process in the document.
+struct WallInfo {
+  u32 pid;
+  const char* name;
+  const char* cat;
+  const char* lane_prefix;
+};
+
+/// Indexed by WallProcess.
+constexpr WallInfo kWallInfo[] = {
+    {2, "hulkv-host (wall clock)", "hulkv-host", "host-thread-"},
+    {3, "hulkv-serve (wall clock)", "hulkv-serve", "requests-"},
+};
+
+const WallInfo& wall_info(WallProcess process) {
+  return kWallInfo[static_cast<size_t>(process)];
+}
+
+/// Wall-clock ns as trace_event microseconds.
+void write_ns_as_us(std::ostream& os, u64 ns) {
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(cycles) / cycles_per_us);
+  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1000.0);
   os << buf;
 }
 
-void write_common(std::ostream& os, const Event& e, double cycles_per_us) {
-  os << "{\"name\":\"" << event_name(e.type) << "\",\"cat\":\"hulkv\""
-     << ",\"pid\":1,\"tid\":" << (e.track + 1) << ",\"ts\":";
-  write_us(os, e.ts, cycles_per_us);
-}
-
-void write_args(std::ostream& os, const Event& e) {
+void write_sim_args(std::ostream& os, const Event& e) {
   if (e.type == Ev::kMemXact) {
     const XactArg x = unpack_xact_arg(e.arg);
     os << ",\"args\":{\"bytes\":" << e.value
@@ -48,111 +56,124 @@ void write_args(std::ostream& os, const Event& e) {
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& os, const TraceSink& sink,
-                        const ChromeTraceOptions& options) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit_sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
+ChromeTraceWriter::ChromeTraceWriter(std::ostream& os) : os_(os) {
+  os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+}
 
+void ChromeTraceWriter::next() {
+  if (!first_) os_ << ",\n";
+  first_ = false;
+}
+
+void ChromeTraceWriter::head(std::string_view name, std::string_view cat,
+                             u32 pid, u32 tid) {
+  next();
+  os_ << "{\"name\":\"" << name << "\",\"cat\":\"" << cat
+      << "\",\"pid\":" << pid << ",\"tid\":" << tid << ",\"ts\":";
+}
+
+void ChromeTraceWriter::sim_process(const TraceSink& sink) {
   // One named thread per track so viewers show labelled swimlanes.
   const auto& tracks = sink.track_names();
   for (u32 t = 0; t < tracks.size(); ++t) {
-    emit_sep();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-       << (t + 1) << ",\"args\":{\"name\":" << json_quote(tracks[t]) << "}}";
+    next();
+    os_ << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kSimPid
+        << ",\"tid\":" << (t + 1)
+        << ",\"args\":{\"name\":" << json_quote(tracks[t]) << "}}";
   }
-  emit_sep();
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-        "\"args\":{\"name\":\"hulkv-soc\"}}";
+  next();
+  os_ << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kSimPid
+      << ",\"args\":{\"name\":\"hulkv-soc\"}}";
 
   // Counter events carry deltas in the sink; the trace_event "C" phase
   // wants absolute values, so accumulate per (track, type).
   std::vector<std::array<u64, kNumEventTypes>> totals(tracks.size());
 
   for (const Event& e : sink.events()) {
-    emit_sep();
+    head(event_name(e.type), "hulkv", kSimPid, e.track + 1);
+    os_ << e.ts;
     switch (event_phase(e.type)) {
       case Phase::kComplete:
-        write_common(os, e, options.cycles_per_us);
-        os << ",\"ph\":\"X\",\"dur\":";
-        write_us(os, e.dur, options.cycles_per_us);
-        write_args(os, e);
-        os << "}";
+        os_ << ",\"ph\":\"X\",\"dur\":" << e.dur;
+        write_sim_args(os_, e);
         break;
       case Phase::kInstant:
-        write_common(os, e, options.cycles_per_us);
-        os << ",\"ph\":\"i\",\"s\":\"t\"";
-        write_args(os, e);
-        os << "}";
+        os_ << ",\"ph\":\"i\",\"s\":\"t\"";
+        write_sim_args(os_, e);
         break;
       case Phase::kCounter: {
         u64& total = totals[e.track][static_cast<size_t>(e.type)];
         total += e.value;
-        write_common(os, e, options.cycles_per_us);
-        os << ",\"ph\":\"C\",\"args\":{\"value\":" << total << "}}";
+        os_ << ",\"ph\":\"C\",\"args\":{\"value\":" << total << "}";
         break;
       }
     }
+    os_ << "}";
   }
-
-  // Host-side telemetry spans: a second process on the wall clock. The
-  // retained span buffer is flushed and copied here, so the export sees
-  // everything recorded up to this call.
-  if (options.host_spans) {
-    const std::vector<telemetry::SpanRecord> spans =
-        telemetry::registry().spans();
-    if (!spans.empty()) {
-      emit_sep();
-      os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,"
-            "\"args\":{\"name\":\"hulkv-host (wall clock)\"}}";
-      u32 max_thread = 0;
-      for (const telemetry::SpanRecord& s : spans) {
-        max_thread = std::max(max_thread, static_cast<u32>(s.thread));
-      }
-      for (u32 t = 0; t <= max_thread; ++t) {
-        emit_sep();
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":"
-           << (t + 1) << ",\"args\":{\"name\":\"host-thread-" << t
-           << "\"}}";
-      }
-      // Clock anchor: span timestamps are steady-clock ns relative to
-      // telemetry enable; wall_epoch_ns is the matching wall-clock
-      // epoch instant, so post-processing can place spans in absolute
-      // time (and correlate manifests from the same run).
-      emit_sep();
-      os << "{\"name\":\"clock_anchor\",\"cat\":\"hulkv-host\","
-            "\"ph\":\"i\",\"s\":\"p\",\"pid\":2,\"tid\":1,\"ts\":0,"
-            "\"args\":{\"wall_epoch_ns\":"
-         << telemetry::registry().wall_anchor_ns()
-         << ",\"steady_anchor_ns\":"
-         << telemetry::registry().steady_anchor_ns() << "}}";
-      char buf[48];
-      for (const telemetry::SpanRecord& s : spans) {
-        emit_sep();
-        os << "{\"name\":\"" << telemetry::phase_name(s.phase)
-           << "\",\"cat\":\"hulkv-host\",\"pid\":2,\"tid\":"
-           << (static_cast<u32>(s.thread) + 1) << ",\"ts\":";
-        std::snprintf(buf, sizeof(buf), "%.3f",
-                      static_cast<double>(s.start_ns) / 1000.0);
-        os << buf << ",\"ph\":\"X\",\"dur\":";
-        std::snprintf(buf, sizeof(buf), "%.3f",
-                      static_cast<double>(s.dur_ns) / 1000.0);
-        os << buf << ",\"args\":{\"depth\":" << static_cast<u32>(s.depth)
-           << "}}";
-      }
-    }
-  }
-  os << "]}\n";
 }
 
-void write_chrome_trace_file(const std::string& path, const TraceSink& sink,
-                             const ChromeTraceOptions& options) {
+void ChromeTraceWriter::wall_process(WallProcess process, u32 lanes,
+                                     u64 wall_epoch_ns,
+                                     u64 steady_anchor_ns) {
+  const WallInfo& info = wall_info(process);
+  next();
+  os_ << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << info.pid
+      << ",\"args\":{\"name\":\"" << info.name << "\"}}";
+  for (u32 lane = 0; lane < lanes; ++lane) {
+    next();
+    os_ << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << info.pid
+        << ",\"tid\":" << (lane + 1) << ",\"args\":{\"name\":\""
+        << info.lane_prefix << lane << "\"}}";
+  }
+  next();
+  os_ << "{\"name\":\"clock_anchor\",\"cat\":\"" << info.cat
+      << "\",\"ph\":\"i\",\"s\":\"p\",\"pid\":" << info.pid
+      << ",\"tid\":1,\"ts\":0,\"args\":{\"wall_epoch_ns\":" << wall_epoch_ns
+      << ",\"steady_anchor_ns\":" << steady_anchor_ns << "}}";
+}
+
+void ChromeTraceWriter::wall_span(WallProcess process, std::string_view name,
+                                  u32 lane, u64 start_ns, u64 dur_ns,
+                                  std::string_view args_json) {
+  const WallInfo& info = wall_info(process);
+  head(name, info.cat, info.pid, lane + 1);
+  write_ns_as_us(os_, start_ns);
+  os_ << ",\"ph\":\"X\",\"dur\":";
+  write_ns_as_us(os_, dur_ns);
+  os_ << ",\"args\":" << args_json << "}";
+}
+
+void ChromeTraceWriter::host_spans() {
+  const std::vector<telemetry::SpanRecord> spans =
+      telemetry::registry().spans();
+  if (spans.empty()) return;
+  u32 max_thread = 0;
+  for (const telemetry::SpanRecord& s : spans) {
+    max_thread = std::max(max_thread, static_cast<u32>(s.thread));
+  }
+  wall_process(WallProcess::kHost, max_thread + 1,
+               telemetry::registry().wall_anchor_ns(),
+               telemetry::registry().steady_anchor_ns());
+  for (const telemetry::SpanRecord& s : spans) {
+    wall_span(WallProcess::kHost, telemetry::phase_name(s.phase), s.thread,
+              s.start_ns, s.dur_ns,
+              "{\"depth\":" + std::to_string(s.depth) + "}");
+  }
+}
+
+void ChromeTraceWriter::finish() { os_ << "]}\n"; }
+
+void write_chrome_trace(std::ostream& os, const TraceSink& sink) {
+  ChromeTraceWriter out(os);
+  out.sim_process(sink);
+  out.host_spans();
+  out.finish();
+}
+
+void write_chrome_trace_file(const std::string& path, const TraceSink& sink) {
   std::ofstream out(path);
   if (!out) throw SimError("cannot open trace output file: " + path);
-  write_chrome_trace(out, sink, options);
+  write_chrome_trace(out, sink);
 }
 
 }  // namespace hulkv::trace

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "report/report.hpp"
-#include "trace/chrome_trace.hpp"
-
 namespace hulkv::trace {
 
 namespace detail {
@@ -70,11 +67,6 @@ Phase event_phase(Ev type) {
   return Phase::kInstant;
 }
 
-u64 pack_xact_arg(const XactArg& a) {
-  return (a.write ? 1u : 0u) | (static_cast<u64>(a.bursts & 0x7FFF'FFFFu) << 1) |
-         (static_cast<u64>(a.refresh_collisions) << 32);
-}
-
 XactArg unpack_xact_arg(u64 packed) {
   XactArg a;
   a.write = (packed & 1u) != 0;
@@ -103,7 +95,7 @@ void TraceSink::clear() {
   tracks_.clear();
   dropped_ = 0;
   max_ts_ = 0;
-  ++generation_;  // invalidates every cached TrackHandle
+  ++generation_;  // every Track re-interns at its next emit
 }
 
 u32 TraceSink::track(std::string_view name) {
@@ -113,12 +105,13 @@ u32 TraceSink::track(std::string_view name) {
   return static_cast<u32>(tracks_.size() - 1);
 }
 
-u32 TraceSink::resolve(TrackHandle& handle, std::string_view name) {
-  if (handle.id == kNoTrack || handle.gen != generation_) {
-    handle.id = track(name);
-    handle.gen = generation_;
+u32 Track::id() {
+  TraceSink& s = sink();
+  if (id_ == kNoTrack || gen_ != s.generation_) {
+    id_ = s.track(name_);
+    gen_ = s.generation_;
   }
-  return handle.id;
+  return id_;
 }
 
 u32 TraceSink::find_track(std::string_view name) const {
@@ -152,18 +145,6 @@ void TraceSink::complete(u32 track_id, Ev type, Cycles start, Cycles end,
 void TraceSink::counter(u32 track_id, Ev type, Cycles ts, u64 delta) {
   if (!enabled_) return;
   push(Event{ts, 0, delta, 0, track_id, type});
-}
-
-void configure(const report::BenchOptions& options) {
-  if (options.trace_path.empty()) return;
-  TraceSink& s = sink();
-  s.clear();
-  s.enable();
-}
-
-void finish_bench(const report::BenchOptions& options) {
-  if (options.trace_path.empty()) return;
-  write_chrome_trace_file(options.trace_path, sink());
 }
 
 }  // namespace hulkv::trace

@@ -1,10 +1,11 @@
 // SoC-wide event tracing (DESIGN.md section 9).
 //
 // Every simulated block can emit cycle-stamped events into one global
-// TraceSink. Tracing is purely observational: no timing model consults
-// the sink, so cycle counts are bit-identical whether tracing is on or
-// off. When tracing is disabled the per-event cost at a call site is a
-// single branch on `trace::enabled()` (an inline load of a plain bool).
+// TraceSink through its trace::Track. Tracing is purely observational:
+// no timing model consults the sink, so cycle counts are bit-identical
+// whether tracing is on or off. When tracing is disabled the per-event
+// cost at a call site is a single branch on `trace::enabled()` (an
+// inline load of a plain bool).
 //
 // Consumers:
 //   - trace/chrome_trace.hpp: Perfetto/Chrome `trace_event` JSON export,
@@ -15,13 +16,10 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
-
-namespace hulkv::report {
-struct BenchOptions;
-}  // namespace hulkv::report
 
 namespace hulkv::trace {
 
@@ -94,20 +92,16 @@ struct XactArg {
   u32 bursts = 0;              // CA/command phases issued
   u32 refresh_collisions = 0;  // bursts delayed by refresh
 };
-u64 pack_xact_arg(const XactArg& a);
+/// Inline so an emit site's packing folds into its tracing-on branch.
+inline u64 pack_xact_arg(const XactArg& a) {
+  return (a.write ? 1u : 0u) |
+         (static_cast<u64>(a.bursts & 0x7FFF'FFFFu) << 1) |
+         (static_cast<u64>(a.refresh_collisions) << 32);
+}
 XactArg unpack_xact_arg(u64 packed);
 
 /// Sentinel for an unregistered track id.
 inline constexpr u32 kNoTrack = 0xFFFF'FFFFu;
-
-/// Cached track registration. Blocks keep one TrackHandle per track and
-/// resolve it lazily at first emit, so construction never touches the
-/// sink and renaming stays in one place. The generation check keeps a
-/// stale handle from pointing at a recycled id after TraceSink::clear().
-struct TrackHandle {
-  u32 id = kNoTrack;
-  u32 gen = 0;
-};
 
 namespace detail {
 extern bool g_enabled;  // mirrors TraceSink enabled state; do not write
@@ -128,14 +122,12 @@ class TraceSink {
   void enable();
   void disable();
 
-  /// Drop all events and tracks (handles re-register via generation).
+  /// Drop all events and tracks (every Track re-registers at its next
+  /// emit).
   void clear();
 
   /// Intern a track by name; returns its stable id.
   u32 track(std::string_view name);
-
-  /// Resolve a cached handle, registering the track on first use.
-  u32 resolve(TrackHandle& handle, std::string_view name);
 
   /// Id of an existing track, or kNoTrack.
   u32 find_track(std::string_view name) const;
@@ -159,6 +151,7 @@ class TraceSink {
   void set_capacity(size_t max_events) { capacity_ = max_events; }
 
  private:
+  friend class Track;
   TraceSink() = default;
   void push(const Event& e);
 
@@ -174,14 +167,38 @@ class TraceSink {
 /// Shorthand for the global sink.
 inline TraceSink& sink() { return TraceSink::instance(); }
 
-/// Bench wiring: clear and enable the sink when --trace <path> was
-/// given.
-void configure(const report::BenchOptions& options);
+/// A named swimlane one component emits into: the only way simulator
+/// code records events. A component declares its Track once (named
+/// after its stats group); each emit site is then one call. The
+/// emitters are inline and test `detail::g_enabled` before anything
+/// else, so with tracing off a site costs one branch and no argument
+/// work beyond what the caller wrote. The track interns itself lazily
+/// at its first recorded event (construction never touches the sink)
+/// and re-interns after TraceSink::clear(), so a Track never points at
+/// a recycled id.
+class Track {
+ public:
+  explicit Track(std::string name) : name_(std::move(name)) {}
 
-/// Bench wiring: when --trace <path> was given, write the sink there as
-/// Chrome trace_event JSON (trace/chrome_trace.hpp). Call it after
-/// profile::finish_bench, which flushes the profiler's stall counters
-/// into the sink, and after telemetry::finish_bench.
-void finish_bench(const report::BenchOptions& options);
+  void instant(Ev type, Cycles ts, u64 value = 0, u64 arg = 0) {
+    if (detail::g_enabled) sink().instant(id(), type, ts, value, arg);
+  }
+  void complete(Ev type, Cycles start, Cycles end, u64 value = 0,
+                u64 arg = 0) {
+    if (detail::g_enabled) sink().complete(id(), type, start, end, value, arg);
+  }
+  void counter(Ev type, Cycles ts, u64 delta) {
+    if (detail::g_enabled) sink().counter(id(), type, ts, delta);
+  }
+
+ private:
+  /// The interned id, registering the track on first use (and again
+  /// after a TraceSink::clear()).
+  u32 id();
+
+  std::string name_;
+  u32 id_ = kNoTrack;
+  u32 gen_ = 0;
+};
 
 }  // namespace hulkv::trace

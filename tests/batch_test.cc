@@ -177,11 +177,14 @@ TEST(SweepEngine, MapReportsMergesInOrder) {
 
 TEST(BenchOptions, ParsesJobs) {
   const char* argv_jobs[] = {"bench", "--jobs", "7"};
-  EXPECT_EQ(report::parse_bench_args(3, const_cast<char**>(argv_jobs)).jobs,
+  int argc = 3;
+  EXPECT_EQ(report::parse_bench_args(argc, const_cast<char**>(argv_jobs)).jobs,
             7u);
   const char* argv_plain[] = {"bench"};
+  argc = 1;
   EXPECT_EQ(
-      report::parse_bench_args(1, const_cast<char**>(argv_plain)).jobs, 0u);
+      report::parse_bench_args(argc, const_cast<char**>(argv_plain)).jobs,
+      0u);
 }
 
 }  // namespace

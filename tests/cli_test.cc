@@ -122,14 +122,14 @@ TEST(CliParser, UsageListsEveryFlag) {
 }
 
 TEST(CliBench, BenchFlagParserKeepsHistoricalSemantics) {
-  report::BenchOptions options;
-  cli::Parser parser = report::bench_flag_parser("bench", &options);
   Argv args({"--json", "out.json", "--jobs=3", "--tier", "interp",
              "--telemetry=runs2", "--profile",
-             "--benchmark_filter=all"});  // wrapped-tool flag: ignored
-  ASSERT_TRUE(parser.parse(args.argc(), args.argv(),
-                           cli::Parser::OnUnknown::kIgnore))
-      << parser.error();
+             "--benchmark_filter=all"});  // wrapped-tool flag: kept
+  int argc = args.argc();
+  const report::BenchOptions options =
+      report::parse_bench_args(argc, args.argv());
+  ASSERT_EQ(argc, 2);
+  EXPECT_STREQ(args.argv()[1], "--benchmark_filter=all");
   EXPECT_EQ(options.json_path, "out.json");
   EXPECT_EQ(options.jobs, 3u);
   EXPECT_EQ(options.tier, "interp");
@@ -141,8 +141,10 @@ TEST(CliBench, BenchFlagParserKeepsHistoricalSemantics) {
 
 TEST(CliBench, ParseBenchArgsMatchesParser) {
   Argv args({"--jobs", "2", "--telemetry"});
+  int argc = args.argc();
   const report::BenchOptions options =
-      report::parse_bench_args(args.argc(), args.argv());
+      report::parse_bench_args(argc, args.argv());
+  EXPECT_EQ(argc, 1);
   EXPECT_EQ(options.jobs, 2u);
   EXPECT_TRUE(options.telemetry);
   EXPECT_TRUE(options.telemetry_dir.empty());

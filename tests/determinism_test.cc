@@ -6,6 +6,7 @@
 // This pins down the cross-run state-bleed class of bug (a static or
 // global that survives into the next Soc).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <array>
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/soc.hpp"
 #include "isa/assembler.hpp"
@@ -48,6 +50,26 @@ std::string run_stdout(const std::string& cmd) {
   }
   const int rc = pclose(pipe);
   EXPECT_EQ(rc, 0) << full;
+  return out;
+}
+
+/// A finished command: its exit code and its stderr (stdout dropped).
+struct Exit {
+  int code = -1;
+  std::string err;
+};
+
+Exit run_exit(const std::string& cmd) {
+  const std::string full = cmd + " 2>&1 >/dev/null";
+  Exit out;
+  FILE* pipe = popen(full.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << full;
+  if (pipe == nullptr) return out;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0) out.err.append(buf, n);
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) out.code = WEXITSTATUS(status);
   return out;
 }
 
@@ -192,8 +214,8 @@ TEST(Determinism, TelemetryDoesNotPerturbBenchStdout) {
 }
 
 TEST(Determinism, TraceDoesNotPerturbBenchStdout) {
-  // --trace is wired through trace::configure/finish_bench in every
-  // figure/table bench: the file is written and is valid JSON, and
+  // --trace is wired through report::run_bench in every figure/table
+  // bench: the file is written and is valid JSON, and
   // stdout is byte-identical with tracing on or off. table2_power keeps
   // the file small (the simulation benches write 50-450 MB traces).
   char tmpl[] = "/tmp/hulkv_det_trace.XXXXXX";
@@ -214,6 +236,67 @@ TEST(Determinism, TraceDoesNotPerturbBenchStdout) {
   EXPECT_TRUE(events->is(telemetry::json::Kind::kArray));
   std::remove(path.c_str());
   rmdir(tmpl);
+}
+
+TEST(Determinism, BenchErrorsExitOneWithTheMessage) {
+  // report::run_bench turns a SimError anywhere in a bench run (flag
+  // parsing, tier selection, the sweep's trace refusal) into
+  // "error: <what>" on stderr and exit code 1 — not std::terminate —
+  // and writes no trace file for the failed run.
+  char tmpl[] = "/tmp/hulkv_det_exit.XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string trace = std::string(tmpl) + "/t.json";
+  const std::string bench = std::string(HULKV_BENCH_DIR) + "/";
+  const std::pair<std::string, std::string> cases[] = {
+      {"table1_comparison --jobs abc",
+       "--jobs expects an unsigned integer, got \"abc\""},
+      {"table2_power --tier bogus", "unknown execution tier 'bogus'"},
+      {"fig8_llc_effect --jobs 2", "the trace sink is not thread-safe"},
+  };
+  for (const auto& [args, message] : cases) {
+    const Exit e = run_exit(bench + args + " --trace " + trace);
+    EXPECT_EQ(e.code, 1) << args << ": " << e.err;
+    EXPECT_EQ(e.err.rfind("error: ", 0), 0u) << args << ": " << e.err;
+    EXPECT_NE(e.err.find(message), std::string::npos) << args << ": "
+                                                       << e.err;
+    EXPECT_NE(access(trace.c_str(), F_OK), 0) << args << " wrote a trace";
+    std::remove(trace.c_str());
+  }
+  rmdir(tmpl);
+}
+
+TEST(Determinism, SimperfInstrumentedRunsExitZero) {
+  // simperf takes --trace and --profile through report::run_bench like
+  // the figure benches. Its BM_BatchSweep/N row sweeps on one worker
+  // while either is on, so each run finishes with exit 0 and its output
+  // instead of meeting batch::run_jobs' multi-worker refusal.
+  char tmpl[] = "/tmp/hulkv_det_simperf.XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string cmd = std::string(HULKV_BENCH_DIR) +
+                          "/simperf --benchmark_filter=BM_BatchSweep "
+                          "--benchmark_min_time=0.000001";
+  const Exit traced = run_exit(cmd + " --trace " + dir + "/t.json");
+  EXPECT_EQ(traced.code, 0) << traced.err;
+  EXPECT_EQ(access((dir + "/t.json").c_str(), F_OK), 0);
+  const Exit profiled = run_exit(cmd + " --profile=" + dir + "/p");
+  EXPECT_EQ(profiled.code, 0) << profiled.err;
+  EXPECT_EQ(access((dir + "/p.folded").c_str(), F_OK), 0);
+  for (const char* f : {"/t.json", "/p.folded", "/p.annotated.txt"}) {
+    std::remove((dir + f).c_str());
+  }
+  rmdir(tmpl);
+}
+
+TEST(Determinism, InstrumentedRunsDefaultToOneWorker) {
+  // The trace sink and the profiler are single-threaded, so a run with
+  // --profile (or --trace) and no --jobs sweeps serially instead of
+  // meeting batch::run_jobs' multi-worker refusal.
+  const std::string cmd =
+      std::string(HULKV_BENCH_DIR) + "/fig8_llc_effect --profile";
+  const std::string implicit = run_stdout(cmd);
+  ASSERT_FALSE(implicit.empty());
+  EXPECT_EQ(implicit, run_stdout(cmd + " --jobs 1"));
 }
 
 }  // namespace

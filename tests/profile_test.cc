@@ -335,8 +335,8 @@ std::pair<int, std::string> run_cmd(const std::string& cmd) {
 }
 
 /// Every figure bench must pass its in-process conservation check when
-/// run under --profile (profile::finish_bench aborts the run on the
-/// first violated invariant, failing the subprocess).
+/// run under --profile (report::run_bench's profile step fails the run
+/// on the first violated invariant, failing the subprocess).
 class FigureBenchProfile : public ProfileTest,
                            public ::testing::WithParamInterface<const char*> {
 };

@@ -142,16 +142,26 @@ TEST(ReportMetrics, TableReferencesSurviveLaterAddTable) {
   EXPECT_EQ(rep.tables().front().rows().size(), 1u);
 }
 
+/// parse_bench_args over a literal argv (it strips the array in place).
+BenchOptions parse(int argc, const char** argv) {
+  return parse_bench_args(argc, const_cast<char**>(argv));
+}
+
 TEST(ReportArgs, ParsesJsonAndTraceFlagsBothSpellings) {
-  const char* argv1[] = {"bench", "--json", "out.json", "--trace=t.json",
-                         "--benchmark_filter=foo"};
-  const BenchOptions a =
-      parse_bench_args(5, const_cast<char**>(argv1));
+  // The bench flags are removed from argv; what is left (a wrapped
+  // tool's flags, for simperf google-benchmark's) keeps its order.
+  const char* argv1[] = {"bench", "--benchmark_filter=foo", "--json",
+                         "out.json", "--trace=t.json", "--benchmark_list"};
+  int argc = 6;
+  const BenchOptions a = parse_bench_args(argc, const_cast<char**>(argv1));
   EXPECT_EQ(a.json_path, "out.json");
   EXPECT_EQ(a.trace_path, "t.json");
+  ASSERT_EQ(argc, 3);
+  EXPECT_STREQ(argv1[1], "--benchmark_filter=foo");
+  EXPECT_STREQ(argv1[2], "--benchmark_list");
 
   const char* argv2[] = {"bench", "--json=x.json"};
-  const BenchOptions b = parse_bench_args(2, const_cast<char**>(argv2));
+  const BenchOptions b = parse(2, argv2);
   EXPECT_EQ(b.json_path, "x.json");
   EXPECT_TRUE(b.trace_path.empty());
 }
@@ -159,19 +169,19 @@ TEST(ReportArgs, ParsesJsonAndTraceFlagsBothSpellings) {
 TEST(ReportArgs, ParsesTelemetryFlagBothSpellings) {
   // Bare form: enabled, default directory (empty = "runs").
   const char* argv1[] = {"bench", "--telemetry"};
-  const BenchOptions a = parse_bench_args(2, const_cast<char**>(argv1));
+  const BenchOptions a = parse(2, argv1);
   EXPECT_TRUE(a.telemetry);
   EXPECT_TRUE(a.telemetry_dir.empty());
 
   // = form carries the output directory.
   const char* argv2[] = {"bench", "--telemetry=out/runs"};
-  const BenchOptions b = parse_bench_args(2, const_cast<char**>(argv2));
+  const BenchOptions b = parse(2, argv2);
   EXPECT_TRUE(b.telemetry);
   EXPECT_EQ(b.telemetry_dir, "out/runs");
 
   // Default: off.
   const char* argv3[] = {"bench"};
-  const BenchOptions c = parse_bench_args(1, const_cast<char**>(argv3));
+  const BenchOptions c = parse(1, argv3);
   EXPECT_FALSE(c.telemetry);
 }
 
@@ -179,7 +189,7 @@ TEST(ReportArgs, BareTelemetryDoesNotConsumeNextArg) {
   // Like --profile, the optional value only binds with '=': a bare
   // --telemetry followed by another flag must leave that flag intact.
   const char* argv[] = {"bench", "--telemetry", "--json", "out.json"};
-  const BenchOptions o = parse_bench_args(4, const_cast<char**>(argv));
+  const BenchOptions o = parse(4, argv);
   EXPECT_TRUE(o.telemetry);
   EXPECT_TRUE(o.telemetry_dir.empty());
   EXPECT_EQ(o.json_path, "out.json");

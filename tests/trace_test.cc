@@ -81,13 +81,36 @@ TEST(TraceSink, TrackInterningIsStable) {
 TEST(TraceSink, HandleResolvesOnceAndSurvivesClear) {
   TraceGuard guard;
   auto& sink = trace::sink();
-  trace::TrackHandle handle;
-  const u32 id = sink.resolve(handle, "block");
-  EXPECT_EQ(sink.resolve(handle, "block"), id);
+  trace::Track track("block");
+  EXPECT_EQ(sink.find_track("block"), trace::kNoTrack);  // lazy
+  track.instant(trace::Ev::kMiss, 1);
+  track.counter(trace::Ev::kHitBatch, 2, 5);
+  const u32 id = sink.find_track("block");
+  ASSERT_NE(id, trace::kNoTrack);
+  ASSERT_EQ(sink.events().size(), 2u);
+  EXPECT_EQ(sink.events()[0].track, id);
+  EXPECT_EQ(sink.events()[1].track, id);
+  EXPECT_EQ(sink.track_names().size(), 1u);
+
   sink.clear();  // invalidates all track ids
   EXPECT_EQ(sink.find_track("block"), trace::kNoTrack);
-  const u32 fresh = sink.resolve(handle, "block");  // re-interns
-  EXPECT_EQ(sink.find_track("block"), fresh);
+  sink.track("other");  // id 0 now belongs to another track
+  track.complete(trace::Ev::kRun, 3, 9);  // re-interns
+  const u32 fresh = sink.find_track("block");
+  ASSERT_NE(fresh, trace::kNoTrack);
+  ASSERT_EQ(sink.events().size(), 1u);
+  EXPECT_EQ(sink.events()[0].track, fresh);
+}
+
+TEST(TraceSink, TrackRecordsNothingWhileDisabled) {
+  TraceGuard guard;
+  trace::sink().disable();
+  trace::Track track("idle");
+  track.instant(trace::Ev::kMiss, 1);
+  track.complete(trace::Ev::kRun, 1, 2);
+  track.counter(trace::Ev::kHitBatch, 3, 4);
+  EXPECT_TRUE(trace::sink().events().empty());
+  EXPECT_EQ(trace::sink().find_track("idle"), trace::kNoTrack);
 }
 
 TEST(TraceSink, CapacityCapCountsDrops) {
