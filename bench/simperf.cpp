@@ -22,6 +22,7 @@
 #include "mem/backing_store.hpp"
 #include "mem/cache.hpp"
 #include "mem/hyperram.hpp"
+#include "mem/rpcdram.hpp"
 #include "profile/profile.hpp"
 #include "serve/service.hpp"
 #include "isa/threaded.hpp"
@@ -293,6 +294,29 @@ void BM_BlockCacheLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockCacheLookup);
 
+void BM_BlockCacheLookupAlternating(benchmark::State& state) {
+  // Two blocks reaching each other in turn (a loop body split by a
+  // branch): every lookup misses the one-entry memo and is served by
+  // the memo block's successor link. Informational, not gated.
+  isa::Assembler a(0x1000, /*rv64=*/false);
+  using namespace isa::reg;
+  for (int i = 0; i < 8; ++i) a.addi(t0, t0, 1);
+  a.bnez(t0, "b");
+  a.label("b");
+  for (int i = 0; i < 8; ++i) a.addi(t1, t1, 1);
+  a.ecall();
+  const std::vector<u32> words = a.assemble();
+  isa::BlockCache cache([&words](Addr pc) {
+    return words[(pc - 0x1000) / 4];
+  });
+  const Addr second = 0x1000 + 4 * 9;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(&cache.block_for_exec(0x1000));
+    benchmark::DoNotOptimize(&cache.block_for_exec(second));
+  }
+}
+BENCHMARK(BM_BlockCacheLookupAlternating);
+
 void BM_BackingStoreRead(benchmark::State& state) {
   // Same-page 8-byte reads: the page-pointer-cache fast path every host
   // load in the DRAM window takes.
@@ -326,6 +350,18 @@ void BM_HyperRamBurst(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HyperRamBurst);
+
+void BM_RpcDramBurst(benchmark::State& state) {
+  // Same access stream as BM_HyperRamBurst on the RPC DRAM model (row
+  // buffers, interned counters). Informational, not gated.
+  mem::RpcDramModel rpc({});
+  Cycles now = 0;
+  for (auto _ : state) {
+    now = rpc.access(now, 0x8000'0000 + (now % 4096) * 64, 64, false);
+    benchmark::DoNotOptimize(now);
+  }
+}
+BENCHMARK(BM_RpcDramBurst);
 
 /// The serve daemon's per-point data path on a cache hit — the
 /// steady-state of a popular point, and the path every request pays

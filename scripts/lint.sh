@@ -148,6 +148,22 @@ if [ "$instr_status" -ne 0 ]; then
 fi
 echo "instrumentation front-end checks: OK"
 
+# Interned-counter invariant (DESIGN.md §15.4): the memory models and
+# host devices in src/mem and src/host count through StatGroup::counter()
+# handles resolved at construction. A string-keyed `stats_.increment(` or
+# `stats_.add(` there puts a std::map lookup on a temporary std::string
+# back on a per-access path.
+echo "== interned-counter checks =="
+if hits="$(grep -nE 'stats_\.(increment|add)\(' \
+    "$repo_root"/src/mem/*.cpp "$repo_root"/src/host/*.cpp)"; then
+  echo "$hits" >&2
+  echo "lint: src/mem and src/host bump interned StatGroup::counter()" \
+       "handles, not stats_.increment/add" >&2
+  echo "lint: FAILED (interned-counter checks)"
+  exit 1
+fi
+echo "interned-counter checks: OK"
+
 if command -v clang-tidy > /dev/null 2>&1; then
   if [ ! -f "$build_dir/compile_commands.json" ]; then
     echo "error: $build_dir/compile_commands.json not found." >&2

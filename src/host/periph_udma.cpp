@@ -17,7 +17,11 @@ PeriphUdma::PeriphUdma(std::vector<u8>* l2, Addr l2_base,
       l2_base_(l2_base),
       l2_timing_(l2_timing),
       irq_(std::move(irq)),
-      stats_("periph_udma") {
+      stats_("periph_udma"),
+      ctr_rx_streams_(stats_.counter("rx_streams")),
+      ctr_rx_bytes_(stats_.counter("rx_bytes")),
+      ctr_tx_streams_(stats_.counter("tx_streams")),
+      ctr_tx_bytes_(stats_.counter("tx_bytes")) {
   HULKV_CHECK(l2 != nullptr && l2_timing != nullptr,
               "peripheral uDMA needs the L2 and its timing model");
 }
@@ -53,8 +57,8 @@ Cycles PeriphUdma::start_rx(Cycles now, Addr dst, std::span<const u8> data,
                                    /*is_write=*/true);
   const Cycles done =
       std::max(now + kSetupCycles + stream_time, l2_done);
-  stats_.increment("rx_streams");
-  stats_.add("rx_bytes", data.size());
+  ctr_rx_streams_ += 1;
+  ctr_rx_bytes_ += data.size();
   if (irq_) irq_();
   return done;
 }
@@ -73,8 +77,8 @@ Cycles PeriphUdma::start_tx(Cycles now, Addr src, u32 bytes,
   const Cycles l2_done =
       charge_l2(now + kSetupCycles, src, bytes, /*is_write=*/false);
   const Cycles done = std::max(now + kSetupCycles + stream_time, l2_done);
-  stats_.increment("tx_streams");
-  stats_.add("tx_bytes", bytes);
+  ctr_tx_streams_ += 1;
+  ctr_tx_bytes_ += bytes;
   if (irq_) irq_();
   return done;
 }

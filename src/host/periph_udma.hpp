@@ -66,6 +66,11 @@ class PeriphUdma {
   std::function<void()> irq_;
   std::string tx_log_;
   StatGroup stats_;
+  // Interned counter slots.
+  u64& ctr_rx_streams_;
+  u64& ctr_rx_bytes_;
+  u64& ctr_tx_streams_;
+  u64& ctr_tx_bytes_;
 };
 
 }  // namespace hulkv::host

@@ -8,20 +8,25 @@ Tlb::Tlb(const TlbConfig& config, PteReader pte_read)
     : config_(config),
       pte_read_(std::move(pte_read)),
       entries_(config.entries),
-      stats_("tlb") {
+      stats_("tlb"),
+      ctr_lookups_(stats_.counter("lookups")),
+      ctr_hits_(stats_.counter("hits")),
+      ctr_misses_(stats_.counter("misses")),
+      ctr_walk_cycles_(stats_.counter("walk_cycles")),
+      ctr_flushes_(stats_.counter("flushes")) {
   HULKV_CHECK(config.entries >= 1, "TLB needs entries");
   HULKV_CHECK(static_cast<bool>(pte_read_), "TLB needs a PTE reader");
 }
 
 Cycles Tlb::translate(Cycles now, Addr vaddr) {
   const u64 vpn = vaddr / config_.page_bytes;
-  stats_.increment("lookups");
+  ctr_lookups_ += 1;
 
   Entry* lru = &entries_[0];
   for (Entry& entry : entries_) {
     if (entry.valid && entry.vpn == vpn) {
       entry.lru = ++use_clock_;
-      stats_.increment("hits");
+      ctr_hits_ += 1;
       return now;
     }
     if (entry.lru < lru->lru) lru = &entry;
@@ -30,7 +35,7 @@ Cycles Tlb::translate(Cycles now, Addr vaddr) {
   // Miss: SV39 walk — one PTE read per level. The synthetic PTE
   // addresses reproduce the locality of a real radix walk: the root
   // level is one line (always hot), deeper levels spread with the VPN.
-  stats_.increment("misses");
+  ctr_misses_ += 1;
   Cycles t = now;
   for (u32 level = 0; level < config_.levels; ++level) {
     const u64 index = (vpn >> (9 * (config_.levels - 1 - level))) & 0x1FF;
@@ -38,7 +43,7 @@ Cycles Tlb::translate(Cycles now, Addr vaddr) {
         kPageTableBase + (static_cast<Addr>(level) << 16) + index * 8;
     t = pte_read_(t, pte_addr);
   }
-  stats_.add("walk_cycles", t - now);
+  ctr_walk_cycles_ += t - now;
 
   lru->vpn = vpn;
   lru->valid = true;
@@ -48,7 +53,7 @@ Cycles Tlb::translate(Cycles now, Addr vaddr) {
 
 void Tlb::flush() {
   for (Entry& entry : entries_) entry = Entry{};
-  stats_.increment("flushes");
+  ctr_flushes_ += 1;
 }
 
 void Tlb::reset() {
@@ -69,10 +74,9 @@ void Tlb::serialize(snapshot::Archive& ar) {
 }
 
 double Tlb::hit_ratio() const {
-  const u64 lookups = stats_.get("lookups");
-  return lookups == 0 ? 0.0
-                      : static_cast<double>(stats_.get("hits")) /
-                            static_cast<double>(lookups);
+  return ctr_lookups_ == 0 ? 0.0
+                           : static_cast<double>(ctr_hits_) /
+                                 static_cast<double>(ctr_lookups_);
 }
 
 }  // namespace hulkv::host

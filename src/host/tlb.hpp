@@ -71,6 +71,12 @@ class Tlb {
   std::vector<Entry> entries_;
   u64 use_clock_ = 0;
   StatGroup stats_;
+  // Interned counter slots.
+  u64& ctr_lookups_;
+  u64& ctr_hits_;
+  u64& ctr_misses_;
+  u64& ctr_walk_cycles_;
+  u64& ctr_flushes_;
 };
 
 }  // namespace hulkv::host

@@ -48,6 +48,11 @@ void BlockCache::invalidate_range(Addr base, u64 bytes) {
 DecodedBlock& BlockCache::lookup_slow(Addr pc) {
   DecodedBlock& block = blocks_[pc];
   if (block.generation != generation_) translate(block, pc);
+  if (DecodedBlock* const from = last_) {
+    // Link the edge just taken; a later pass over it skips the map.
+    const bool fall_through = pc == from->start + 4 * from->instrs.size();
+    from->next[fall_through ? 0 : 1] = &block;
+  }
   last_ = &block;
   return block;
 }

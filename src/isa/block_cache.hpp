@@ -16,12 +16,22 @@
 //  * A one-entry memo makes loop bodies free: a hardware loop or a
 //    backward branch re-entering the same block skips even the hash
 //    lookup.
+//  * Successor links chain the other transitions: every block keeps a
+//    pointer to the block last reached from it over its fall-through
+//    edge and one over its taken/other edge. A lookup that misses the
+//    memo tries the memo block's two links before the hash map; a link
+//    is used only when its target starts at the requested pc and was
+//    translated in the current generation. A miss fills the matching
+//    link of the block it came from.
 //  * Invalidation is a generation bump, not a clear()-and-rehash: stale
 //    blocks are detected by generation mismatch and re-translated in
-//    place on next dispatch. `invalidate_range()` additionally scopes
-//    the bump to writes overlapping the span actually covered by
-//    translated blocks, so rewriting one kernel image does not force
-//    the other cached code regions to re-translate eagerly.
+//    place on next dispatch. Links need no walk either: a link only
+//    names a map slot (whose address never changes), and the slot's
+//    generation says whether its contents may run.
+//    `invalidate_range()` additionally scopes the bump to writes
+//    overlapping the span actually covered by translated blocks, so
+//    rewriting one kernel image does not force the other cached code
+//    regions to re-translate eagerly.
 //
 // Self-modifying-code semantics are unchanged from the per-instruction
 // caches: guest stores do NOT auto-invalidate; callers must invalidate
@@ -44,6 +54,12 @@ namespace hulkv::isa {
 struct DecodedBlock {
   Addr start = 0;
   u64 generation = 0;  // 0 = never translated (generations start at 1)
+  /// Successor links, filled by BlockCache lookups: [0] the block last
+  /// reached over the fall-through edge (`start + 4 * instrs.size()`),
+  /// [1] the block last reached over any other edge (taken branch,
+  /// jump, jalr target). A link may be stale; BlockCache checks the
+  /// target's start and generation before following it.
+  DecodedBlock* next[2] = {nullptr, nullptr};
   /// Bit i set when `instrs[i]` may touch state shared between cores
   /// (loads/stores — TCDM banks, AXI, DRAM — and the environment-call /
   /// trap ops). Pure ALU and control-flow ops leave the bit clear; a
@@ -106,21 +122,33 @@ class BlockCache {
                          RunAheadFacts* out)>;
 
   explicit BlockCache(ReadWord read_word);
+  // Blocks point at each other (successor links) and last_ points into
+  // blocks_: a copy would point into the source cache.
+  BlockCache(const BlockCache&) = delete;
+  BlockCache& operator=(const BlockCache&) = delete;
 
   /// The decoded block starting at `pc`, translated on demand.
   /// The returned reference is stable until the cache is destroyed
   /// (values live in node-based map storage), but its contents are
   /// only valid for the current generation.
-  const DecodedBlock& block_at(Addr pc) {
-    if (last_ != nullptr && last_->start == pc) return *last_;
-    return lookup_slow(pc);
-  }
+  const DecodedBlock& block_at(Addr pc) { return block_for_exec(pc); }
 
   /// Mutable variant for the dispatch loops, which lazily
   /// attach the lowered form to the block (DecodedBlock::threaded).
-  /// Same translation/memo behaviour as block_at().
+  /// Memo first, then the memo block's two successor links, then the
+  /// hash map.
   DecodedBlock& block_for_exec(Addr pc) {
-    if (last_ != nullptr && last_->start == pc) return *last_;
+    DecodedBlock* const last = last_;
+    if (last != nullptr) {
+      if (last->start == pc) return *last;
+      for (DecodedBlock* next : last->next) {
+        if (next != nullptr && next->start == pc &&
+            next->generation == generation_) {
+          last_ = next;
+          return *next;
+        }
+      }
+    }
     return lookup_slow(pc);
   }
 

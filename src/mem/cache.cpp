@@ -11,15 +11,9 @@ SetAssocTags::SetAssocTags(u32 num_sets, u32 num_ways, u32 line_bytes)
   HULKV_CHECK(is_pow2(num_sets), "cache sets must be a power of two");
   HULKV_CHECK(is_pow2(line_bytes), "cache line size must be a power of two");
   HULKV_CHECK(num_ways >= 1, "cache needs at least one way");
+  line_shift_ = static_cast<u8>(log2_exact(line_bytes));
+  tag_shift_ = static_cast<u8>(line_shift_ + log2_exact(num_sets));
   ways_.resize(static_cast<size_t>(num_sets) * num_ways);
-}
-
-u32 SetAssocTags::set_index(Addr addr) const {
-  return static_cast<u32>((addr / line_bytes_) & (num_sets_ - 1));
-}
-
-u64 SetAssocTags::tag_of(Addr addr) const {
-  return addr / line_bytes_ / num_sets_;
 }
 
 SetAssocTags::Way* SetAssocTags::find(Addr addr) {
@@ -63,8 +57,8 @@ SetAssocTags::Victim SetAssocTags::fill(Addr addr) {
     victim.valid = true;
     victim.dirty = slot->dirty;
     // Reconstruct the victim's base address from its tag and this set.
-    victim.line_addr =
-        (slot->tag * num_sets_ + set_index(addr)) * line_bytes_;
+    victim.line_addr = slot->tag << tag_shift_ |
+                       static_cast<Addr>(set_index(addr)) << line_shift_;
   }
   slot->tag = tag_of(addr);
   slot->valid = true;

@@ -71,14 +71,23 @@ class SetAssocTags {
     bool dirty = false;
   };
 
-  u32 set_index(Addr addr) const;
-  u64 tag_of(Addr addr) const;
+  // Both geometry terms are powers of two, so the index and tag are
+  // shifts, not run-time divisions.
+  u32 set_index(Addr addr) const {
+    return static_cast<u32>(addr >> line_shift_) & (num_sets_ - 1);
+  }
+  u64 tag_of(Addr addr) const { return addr >> tag_shift_; }
   Way* find(Addr addr);
   const Way* find(Addr addr) const;
 
   u32 num_sets_;
   u32 num_ways_;
   u32 line_bytes_;
+  // log2(line_bytes_) and log2(line_bytes_ * num_sets_). They sit in
+  // the padding before use_clock_: every core and LLC embeds this
+  // class, and growing it shifts their hot members.
+  u8 line_shift_ = 0;
+  u8 tag_shift_ = 0;
   u64 use_clock_ = 0;
   std::vector<Way> ways_;  // num_sets * num_ways
 };

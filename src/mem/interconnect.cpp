@@ -14,7 +14,11 @@ constexpr Cycles kClusterXbarHop = 6;
 constexpr Cycles kUdmaHop = 1;  // uDMA sits next to the controller mux
 }  // namespace
 
-SocBus::SocBus() : stats_("soc_bus") {}
+SocBus::SocBus()
+    : stats_("soc_bus"),
+      ctr_reads_(stats_.counter("reads")),
+      ctr_writes_(stats_.counter("writes")),
+      ctr_bytes_(stats_.counter("bytes")) {}
 
 void SocBus::set_tcdm(std::vector<u8>* storage, MemTiming* timing) {
   srams_.push_back({map::kTcdmBase, map::kTcdmSize, storage, timing});
@@ -80,13 +84,12 @@ Cycles SocBus::transact(Cycles now, Addr addr, void* data, u32 bytes,
   const bool cluster_master =
       master == Master::kClusterCore || master == Master::kClusterDma;
   if (timed && cluster_master && iopmp_ && !iopmp_(addr, bytes, is_write)) {
-    throw SimError("IOPMP denied cluster access to 0x" +
-                   std::to_string(addr));
+    throw SimError("IOPMP denied cluster access to " + hex_addr(addr));
   }
 
   if (timed) {
-    stats_.increment(is_write ? "writes" : "reads");
-    stats_.add("bytes", bytes);
+    (is_write ? ctr_writes_ : ctr_reads_) += 1;
+    ctr_bytes_ += bytes;
   }
   const Cycles issue = timed ? now + xbar_latency(master) : now;
 

@@ -122,6 +122,10 @@ class SocBus {
   MemTiming* dram_timing_ = nullptr;
   IopmpCheck iopmp_;
   StatGroup stats_;
+  // Interned counter slots, bumped on every timed transaction.
+  u64& ctr_reads_;
+  u64& ctr_writes_;
+  u64& ctr_bytes_;
 };
 
 }  // namespace hulkv::mem

@@ -73,6 +73,17 @@ class RpcDramModel final : public MemTiming {
   Cycles next_refresh_;
   std::vector<i64> open_row_;  // -1 = closed
   StatGroup stats_;
+  // Interned counter slots (one transaction may mean many bursts).
+  u64& ctr_reads_;
+  u64& ctr_writes_;
+  u64& ctr_bytes_read_;
+  u64& ctr_bytes_written_;
+  u64& ctr_busy_cycles_;
+  u64& ctr_bursts_;
+  u64& ctr_row_hits_;
+  u64& ctr_row_activations_;
+  u64& ctr_row_conflicts_;
+  u64& ctr_refresh_collisions_;
   trace::Track trace_track_{stats_.name()};
 };
 

@@ -16,7 +16,10 @@ Udma::Udma(BackingStore* dram, MemTiming* ext_mem, std::vector<u8>* l2,
       l2_(l2),
       l2_base_(l2_base),
       dram_base_(dram_base),
-      stats_("udma") {
+      stats_("udma"),
+      ctr_jobs_1d_(stats_.counter("jobs_1d")),
+      ctr_jobs_2d_(stats_.counter("jobs_2d")),
+      ctr_bytes_(stats_.counter("bytes")) {
   HULKV_CHECK(dram != nullptr && ext_mem != nullptr && l2 != nullptr,
               "uDMA needs DRAM, device timing and L2");
 }
@@ -47,8 +50,8 @@ Cycles Udma::transfer_1d(Cycles now, Addr dst, Addr src, u64 bytes) {
               "uDMA connects L2SPM and external memory only");
 
   copy(dst, src, bytes);
-  stats_.increment("jobs_1d");
-  stats_.add("bytes", bytes);
+  ctr_jobs_1d_ += 1;
+  ctr_bytes_ += bytes;
 
   const Addr ext_addr = to_l2 ? src : dst;
   const Cycles done = ext_mem_->access(now + kSetupCycles, ext_addr,
@@ -75,8 +78,8 @@ Cycles Udma::transfer_2d(Cycles now, Addr dst, Addr src, u64 row_bytes,
     t = ext_mem_->access(t, ext_addr, static_cast<u32>(row_bytes),
                          /*is_write=*/!to_l2);
   }
-  stats_.increment("jobs_2d");
-  stats_.add("bytes", row_bytes * rows);
+  ctr_jobs_2d_ += 1;
+  ctr_bytes_ += row_bytes * rows;
   trace_track_.complete(trace::Ev::kDmaJob, now, t, row_bytes * rows,
                         to_l2 ? 1 : 0);
   return t;

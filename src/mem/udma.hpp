@@ -54,6 +54,10 @@ class Udma {
   Addr l2_base_;
   Addr dram_base_;
   StatGroup stats_;
+  // Interned counter slots.
+  u64& ctr_jobs_1d_;
+  u64& ctr_jobs_2d_;
+  u64& ctr_bytes_;
   trace::Track trace_track_{stats_.name()};
 };
 

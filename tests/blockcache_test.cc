@@ -19,6 +19,7 @@
 #include "core/soc.hpp"
 #include "isa/assembler.hpp"
 #include "isa/block_cache.hpp"
+#include "kernels/iot_benchmarks.hpp"
 #include "kernels/kernel.hpp"
 #include "mem/backing_store.hpp"
 
@@ -191,6 +192,187 @@ TEST(BlockCache, FaultOnLaterWordEndsBlock) {
   EXPECT_EQ(b.instrs.size(), 2u);
   // A fault on the *first* word still propagates.
   EXPECT_THROW(cache.block_at(0x9000), SimError);
+}
+
+// ---------------------------------------------------------------------
+// Successor links: each block remembers the next block reached from it
+// on the fall-through edge and on the taken/other edge. A link is only
+// followed when its target starts at the requested pc and belongs to
+// the current generation, so invalidation needs no link walk.
+// ---------------------------------------------------------------------
+
+/// Block A (0x8000) ends in a branch: fall-through to B (0x800c), taken
+/// to C (0x8014). B and C end in ecalls.
+TestProgram branch_program() {
+  TestProgram prog(0x8000);
+  Assembler a(0x8000, /*rv64=*/false);
+  a.addi(t0, t0, 1);
+  a.addi(t1, t1, 1);
+  a.bnez(t0, "c");
+  a.addi(t2, t2, 5);  // B
+  a.ecall();
+  a.label("c");
+  a.addi(t2, t2, 6);  // C
+  a.ecall();
+  prog.words = a.assemble();
+  return prog;
+}
+
+TEST(BlockChaining, LinkedSuccessorsDoNotRetranslate) {
+  TestProgram prog = branch_program();
+  BlockCache cache = prog.make_cache();
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(cache.block_for_exec(0x8000).start, 0x8000u);
+    EXPECT_EQ(cache.block_for_exec(0x800c).start, 0x800cu);
+    EXPECT_EQ(cache.block_for_exec(0x8000).start, 0x8000u);
+    EXPECT_EQ(cache.block_for_exec(0x8014).start, 0x8014u);
+  }
+  EXPECT_EQ(cache.translations(), 3u);
+  EXPECT_EQ(cache.cached_blocks(), 3u);
+}
+
+TEST(BlockChaining, InvalidateRetranslatesChainedSuccessor) {
+  TestProgram prog = branch_program();
+  BlockCache cache = prog.make_cache();
+  cache.block_for_exec(0x8000);
+  cache.block_for_exec(0x800c);  // links A -> B
+  cache.block_for_exec(0x8000);
+  EXPECT_EQ(cache.block_for_exec(0x800c).instrs[0].imm, 5);
+  EXPECT_EQ(cache.translations(), 2u);
+
+  // Rewrite B behind the cache, then invalidate: the A -> B link still
+  // points at B's slot, but the generation check must refuse it.
+  Assembler patch(0x800c, /*rv64=*/false);
+  patch.addi(t2, t2, 77);
+  prog.words[3] = patch.assemble()[0];
+  cache.invalidate();
+  cache.block_for_exec(0x8000);
+  const isa::DecodedBlock& b = cache.block_for_exec(0x800c);
+  EXPECT_EQ(b.instrs[0].imm, 77);
+  EXPECT_EQ(b.generation, cache.generation());
+  EXPECT_EQ(cache.translations(), 4u);
+}
+
+TEST(BlockChaining, OverlappingRangedInvalidateRetranslatesChainedSuccessor) {
+  TestProgram prog = branch_program();
+  BlockCache cache = prog.make_cache();
+  cache.block_for_exec(0x8000);
+  cache.block_for_exec(0x8014);  // links A -> C (taken)
+  cache.block_for_exec(0x8000);
+  EXPECT_EQ(cache.block_for_exec(0x8014).instrs[0].imm, 6);
+  EXPECT_EQ(cache.translations(), 2u);
+
+  Assembler patch(0x8014, /*rv64=*/false);
+  patch.addi(t2, t2, 99);
+  prog.words[5] = patch.assemble()[0];
+  // A disjoint write keeps the chain; an overlapping one drops it.
+  cache.invalidate_range(0x9000, 4);
+  cache.block_for_exec(0x8000);
+  EXPECT_EQ(cache.block_for_exec(0x8014).instrs[0].imm, 6);
+  EXPECT_EQ(cache.translations(), 2u);
+  cache.invalidate_range(0x8014, 4);
+  cache.block_for_exec(0x8000);
+  EXPECT_EQ(cache.block_for_exec(0x8014).instrs[0].imm, 99);
+  EXPECT_EQ(cache.translations(), 4u);
+}
+
+TEST(BlockChaining, AlternatingIndirectTargetsReachTheRightBlock) {
+  // One jalr block J alternately reaching F1 and F2 (and each returning
+  // to J's successor R): the taken/other link keeps being replaced,
+  // and every lookup must still return the block at the requested pc.
+  TestProgram prog(0xa000);
+  Assembler a(0xa000, /*rv64=*/false);
+  a.ri(Op::kJalr, ra, t1, 0);  // J
+  a.addi(s1, s1, 1);           // R
+  a.ecall();
+  a.addi(s1, s1, 10);  // F1 (0xa00c)
+  a.ret();
+  a.addi(s1, s1, 100);  // F2 (0xa014)
+  a.ret();
+  prog.words = a.assemble();
+  BlockCache cache = prog.make_cache();
+  for (int i = 0; i < 20; ++i) {
+    const Addr target = i % 2 == 0 ? 0xa00c : 0xa014;
+    EXPECT_EQ(cache.block_for_exec(0xa000).start, 0xa000u);
+    const isa::DecodedBlock& f = cache.block_for_exec(target);
+    EXPECT_EQ(f.start, target);
+    EXPECT_EQ(f.instrs[0].imm, i % 2 == 0 ? 10 : 100);
+    EXPECT_EQ(cache.block_for_exec(0xa004).start, 0xa004u);
+  }
+  EXPECT_EQ(cache.translations(), 4u);
+  EXPECT_EQ(cache.cached_blocks(), 4u);
+}
+
+TEST(BlockChaining, HostJalrAlternatingBetweenTwoFunctions) {
+  core::HulkVSoc soc(fast_config());
+  Assembler a(core::layout::kHostCodeBase, /*rv64=*/true);
+  a.j("main");
+  a.label("f1");
+  a.addi(s1, s1, 1);
+  a.ret();
+  a.label("f2");
+  a.addi(s1, s1, 100);
+  a.ret();
+  a.label("main");
+  a.li(s0, 0);
+  a.li(s1, 0);
+  a.li(s2, 20);
+  a.li(s3, static_cast<i64>(a.address_of("f1")));
+  a.li(s4, static_cast<i64>(a.address_of("f2")));
+  a.label("loop");
+  a.andi(t0, s0, 1);
+  a.mv(t1, s3);
+  a.beqz(t0, "go");
+  a.mv(t1, s4);
+  a.label("go");
+  a.ri(Op::kJalr, ra, t1, 0);
+  a.addi(s0, s0, 1);
+  a.blt(s0, s2, "loop");
+  a.mv(a0, s1);
+  a.li(a7, 93);
+  a.ecall();
+  const auto run = kernels::run_host_program(soc, a.assemble(), {});
+  EXPECT_EQ(run.exit_code, 10u * 1 + 10u * 100);
+}
+
+TEST(BlockChaining, TranslationCountsMatchTheUnchainedCache) {
+  // Chaining changes how a block is found, never which blocks get
+  // translated: the counts below were recorded before successor links
+  // existed.
+  core::HulkVSoc soc(fast_config());
+  std::vector<u64> host_counts;
+  for (u8 id = 0; id < kernels::kNumIotWorkloads; ++id) {
+    const kernels::IotWorkload w = kernels::setup_iot_workload(id, 1, soc);
+    kernels::run_host_program(soc, w.program, w.args);
+    host_counts.push_back(soc.host().decode_blocks().translations());
+    host_counts.push_back(soc.host().decode_blocks().cached_blocks());
+  }
+  // (translations, cached_blocks) after each of the five workloads.
+  EXPECT_EQ(host_counts,
+            (std::vector<u64>{3, 3, 8, 7, 63, 60, 68, 62, 76, 64}));
+
+  Assembler k(kKernelL2, /*rv64=*/false);
+  k.li(t0, 40);
+  k.li(t1, 0);
+  k.label("loop");
+  k.andi(t2, t0, 3);
+  k.bnez(t2, "skip");
+  k.addi(t1, t1, 7);
+  k.label("skip");
+  k.addi(t0, t0, -1);
+  k.bnez(t0, "loop");
+  k.li(a7, cluster::envcall::kExit);
+  k.ecall();
+  soc.load_program(kKernelL2, k.assemble());
+  soc.cluster().run_kernel(0, kKernelL2, 0);
+  std::vector<u64> cluster_counts;
+  for (u32 c = 0; c < soc.cluster().num_cores(); ++c) {
+    cluster_counts.push_back(
+        soc.cluster().core(c).decode_blocks().translations());
+    cluster_counts.push_back(
+        soc.cluster().core(c).decode_blocks().cached_blocks());
+  }
+  EXPECT_EQ(cluster_counts, std::vector<u64>(2 * soc.cluster().num_cores(), 6));
 }
 
 // ---------------------------------------------------------------------

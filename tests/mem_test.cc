@@ -2,7 +2,9 @@
 // filter, HyperRAM timing identities, DDR model, uDMA, SoC bus routing.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <string>
 
 #include "common/rng.hpp"
 #include "mem/backing_store.hpp"
@@ -11,7 +13,9 @@
 #include "mem/hyperram.hpp"
 #include "mem/interconnect.hpp"
 #include "mem/llc.hpp"
+#include "mem/rpcdram.hpp"
 #include "mem/udma.hpp"
+#include "snapshot/archive.hpp"
 
 namespace hulkv::mem {
 namespace {
@@ -350,6 +354,19 @@ TEST_F(SocBusFixture, IopmpDeniesClusterOnly) {
                SimError);
 }
 
+TEST_F(SocBusFixture, IopmpDenialNamesTheAddressInHex) {
+  bus_.set_iopmp([](Addr, u32, bool) { return false; });
+  u64 v = 0;
+  try {
+    bus_.read(0, map::kL2Base + 0x40, &v, 8, Master::kClusterCore);
+    FAIL() << "IOPMP let a denied access through";
+  } catch (const SimError& e) {
+    EXPECT_STREQ(e.what(), "IOPMP denied cluster access to 0x1c000040");
+  }
+  // A denied access is not counted as a bus transaction.
+  EXPECT_EQ(bus_.stats().get("reads"), 0u);
+}
+
 class MmioEcho : public MmioDevice {
  public:
   u64 mmio_read(Addr offset, u32) override { return offset * 2; }
@@ -433,6 +450,181 @@ TEST(SramTiming, PortSerialises) {
   EXPECT_EQ(a, 1u + 8u);
   const Cycles b = sram.access(0, 64, 8, false);  // queued behind
   EXPECT_EQ(b, 8u + 1u + 1u);
+}
+
+// ---------------------------------------------------------------------
+// Golden access scripts. Each runs a fixed access sequence and pins
+// every returned cycle (folded into one FNV-1a value), every non-zero
+// counter and the snapshot digest of the tag/LRU state to values
+// recorded from the reference implementation. Host-side speed work on
+// these models (interned counters, shift-indexed tags) must leave all
+// of them unchanged.
+// ---------------------------------------------------------------------
+
+/// Deterministic LCG for the scripts (no library RNG involved).
+struct ScriptRng {
+  u64 state;
+  u64 next() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 17;
+  }
+};
+
+u64 fold(u64 hash, u64 value) {
+  return snapshot::fnv1a(hash, &value, sizeof(value));
+}
+
+std::map<std::string, u64> nonzero_counters(const StatGroup& group) {
+  std::map<std::string, u64> out;
+  for (const auto& [key, value] : group.counters()) {
+    if (value != 0) out[key] = value;
+  }
+  return out;
+}
+
+template <class Model>
+u64 state_digest(Model& model) {
+  snapshot::Archive ar = snapshot::Archive::hasher();
+  model.serialize(ar);
+  return ar.hash();
+}
+
+TEST(GoldenScript, RpcDramCyclesCountersAndState) {
+  RpcDramModel rpc(RpcDramConfig{});
+  ScriptRng rng{7};
+  constexpr u32 kSizes[] = {4, 8, 64, 64, 600, 2100};
+  u64 cycles_hash = snapshot::kFnvOffset;
+  Cycles now = 0;
+  Addr hot = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const u64 r = rng.next();
+    if (r % 8 == 0) hot = rng.next() % (96ull << 20);  // wraps past 64 MB
+    const Addr addr = map::kDramBase + hot + rng.next() % 8192;
+    const u32 bytes = kSizes[(r >> 4) % 6];
+    const bool is_write = (r >> 8) % 3 == 0;
+    now += (r >> 12) % 300;
+    cycles_hash = fold(cycles_hash, rpc.access(now, addr, bytes, is_write));
+  }
+  EXPECT_EQ(cycles_hash, 8459091041689730449ull);
+  EXPECT_EQ(nonzero_counters(rpc.stats()),
+            (std::map<std::string, u64>{{"bursts", 5695},
+                                        {"busy_cycles", 794502},
+                                        {"bytes_read", 1086408},
+                                        {"bytes_written", 379200},
+                                        {"reads", 2019},
+                                        {"refresh_collisions", 198},
+                                        {"row_activations", 1449},
+                                        {"row_conflicts", 1445},
+                                        {"row_hits", 4246},
+                                        {"writes", 981}}));
+  EXPECT_EQ(state_digest(rpc), 14394325016113380719ull);
+}
+
+TEST(GoldenScript, SetAssocTagsLookupFillAndLru) {
+  struct Geometry {
+    u32 sets, ways, line;
+    u64 golden;  // recorded script + final-state hash
+  };
+  for (const Geometry g :
+       {Geometry{1, 8, 32, 3319053943326510970ull},
+        Geometry{64, 4, 64, 2118506027925560704ull},
+        Geometry{512, 8, 128, 3446620801870578538ull},
+        Geometry{16, 1, 16, 634754052418603114ull}}) {
+    SetAssocTags tags(g.sets, g.ways, g.line);
+    ScriptRng rng{g.sets * 131 + g.ways};
+    const u64 window = u64{g.sets} * g.ways * g.line * 3;
+    u64 hash = snapshot::kFnvOffset;
+    for (int i = 0; i < 5000; ++i) {
+      const u64 r = rng.next();
+      const Addr addr = rng.next() % window + ((r >> 20) % 4 << 40);
+      switch (r % 5) {
+        case 0:
+        case 1:
+          hash = fold(hash, tags.lookup(addr));
+          break;
+        case 2: {
+          const SetAssocTags::Victim v = tags.fill(addr);
+          hash = fold(hash, v.valid);
+          hash = fold(hash, v.dirty);
+          hash = fold(hash, v.line_addr);
+          break;
+        }
+        case 3:
+          if (tags.probe(addr)) tags.mark_dirty(addr);
+          break;
+        default:
+          hash = fold(hash, tags.line_dirty(addr));
+          hash = fold(hash, tags.line_of(addr));
+          break;
+      }
+    }
+    SCOPED_TRACE(testing::Message() << g.sets << "x" << g.ways << "x"
+                                    << g.line);
+    hash = fold(hash, state_digest(tags));
+    EXPECT_EQ(hash, g.golden);
+  }
+}
+
+TEST(GoldenScript, CacheHierarchyOverRpcDram) {
+  // A write-through, no-allocate L1 in front of a write-back LLC-like
+  // level in front of RPC DRAM: hits, misses, straddles, dirty
+  // evictions and write-through words all occur.
+  RpcDramModel rpc(RpcDramConfig{});
+  CacheModel l2(CacheConfig{.name = "l2",
+                            .size_bytes = 8 * 1024,
+                            .line_bytes = 64,
+                            .ways = 4,
+                            .write_through = false,
+                            .write_allocate = true,
+                            .hit_latency = 3,
+                            .fill_penalty = 2},
+                &rpc);
+  CacheModel l1(CacheConfig{.name = "l1",
+                            .size_bytes = 2 * 1024,
+                            .line_bytes = 32,
+                            .ways = 2,
+                            .hit_latency = 1,
+                            .fill_penalty = 1},
+                &l2);
+  ScriptRng rng{11};
+  constexpr u32 kSizes[] = {1, 2, 4, 8, 8, 16};
+  u64 cycles_hash = snapshot::kFnvOffset;
+  Cycles now = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const u64 r = rng.next();
+    const u64 span = (r >> 11) % 2 == 0 ? 1024 : 24 * 1024;  // hot half
+    const Addr addr = map::kDramBase + rng.next() % span;
+    now = l1.access(now + r % 3, addr, kSizes[(r >> 3) % 6],
+                    (r >> 9) % 4 == 0);
+    cycles_hash = fold(cycles_hash, now);
+  }
+  EXPECT_EQ(cycles_hash, 6022032405213452662ull);
+  EXPECT_EQ(nonzero_counters(l1.stats()),
+            (std::map<std::string, u64>{{"hits", 10063},
+                                        {"misses", 13327},
+                                        {"reads", 17554},
+                                        {"writes", 5836},
+                                        {"writethrough_words", 5836}}));
+  EXPECT_EQ(nonzero_counters(l2.stats()),
+            (std::map<std::string, u64>{{"hits", 8244},
+                                        {"misses", 7540},
+                                        {"reads", 9948},
+                                        {"writebacks", 2501},
+                                        {"writes", 5836}}));
+  EXPECT_EQ(nonzero_counters(rpc.stats()),
+            (std::map<std::string, u64>{{"bursts", 10041},
+                                        {"busy_cycles", 523356},
+                                        {"bytes_read", 482560},
+                                        {"bytes_written", 160064},
+                                        {"reads", 7540},
+                                        {"refresh_collisions", 150},
+                                        {"row_activations", 6647},
+                                        {"row_conflicts", 6643},
+                                        {"row_hits", 3394},
+                                        {"writes", 2501}}));
+  EXPECT_EQ(state_digest(l1), 6087291466256875731ull);
+  EXPECT_EQ(state_digest(l2), 5403960384933356719ull);
+  EXPECT_EQ(state_digest(rpc), 6121891572800653150ull);
 }
 
 }  // namespace
